@@ -19,6 +19,9 @@ MODES = ("q_margin", "a3m", "cosface", "arcface")
 # arccos guard for boundary cosines
 _ACOS_EPS = 1e-7
 
+# smallest normal double; q_margin's target weight exp(-s*m) must not fall below it
+_TINY = np.finfo(np.float64).tiny
+
 
 @dataclass(frozen=True)
 class AnnealSchedule:
@@ -46,6 +49,11 @@ class MarginConfig:
             raise ValueError(f"margin must be in [0, 1), got {self.margin}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.mode == "q_margin" and not np.exp(-self.scale * self.margin) >= _TINY:
+            raise ValueError(
+                f"q_margin needs scale*margin <= {-np.log(_TINY):.4f}, so that the target "
+                f"weight exp(-scale*margin) is a normal double; got {self.scale * self.margin!r}"
+            )
 
     def with_margin(self, m):
         return replace(self, margin=m)

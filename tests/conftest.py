@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from alphamargin import _fallback
+
 
 def sparsemax_oracle(z):
     """Sort-based Euclidean projection of z onto the probability simplex."""
@@ -23,6 +25,16 @@ def softargmax_oracle(theta, q):
 def cross_entropy_oracle(theta, y):
     z = theta - theta.max()
     return float(np.log(np.exp(z).sum()) - z[y])
+
+
+def posterior_batch_loop_reference(theta, q, alpha, tol, max_iters):
+    """The numpy backend's batch solve as a loop of one scalar solve per row."""
+    B, k = theta.shape
+    P = np.empty((B, k))
+    taus = np.empty(B)
+    for i in range(B):
+        P[i], taus[i] = _fallback.posterior(theta[i], q[i], alpha, tol, max_iters)
+    return P, taus
 
 
 def cosface_recovery_draws():

@@ -120,6 +120,14 @@ class TestTrain:
         assert run(["train", str(cfg)]) == 1
         assert "turbo" in capsys.readouterr().err
 
+    def test_margin_underflowing_q_margin_weight_is_usage_error(self, tmp_path, dataset_path, capsys):
+        cfg = write_config(
+            tmp_path / "t.ini", dataset_path, tmp_path / "o",
+            {("loss", "scale"): "1600.0", ("loss", "margin"): "0.5"},
+        )
+        assert run(["train", str(cfg)]) == 1
+        assert "scale*margin" in capsys.readouterr().err
+
     def test_unknown_section_rejected(self, tmp_path, dataset_path):
         cfg = write_config(
             tmp_path / "t.ini", dataset_path, tmp_path / "o",

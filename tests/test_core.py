@@ -156,6 +156,12 @@ class TestAlphaSoftargmax:
         assert p.nnz == 1
         np.testing.assert_allclose(p.to_dense(), [1.0, 0.0, 0.0], atol=1e-12)
 
+    def test_posterior_without_mass_is_a_solver_error(self):
+        # q_t = 1e300 collapses the bracket at a tau where every class is
+        # clipped: a solver failure, not PosteriorDistribution's ValueError
+        with pytest.raises(SolverError, match="sums to 0.0"):
+            alpha_softargmax([1.0, 0.5, 0.2], [1e300, 1.0, 1.0], AlphaParams(1.5))
+
     @settings(max_examples=60, deadline=None)
     @given(
         alpha=st.sampled_from([1.1, 1.25, 1.5, 1.75, 2.0]),

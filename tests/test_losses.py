@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,19 @@ class TestMarginConfig:
             MarginConfig(scale=1.0, margin=0.1, mode="bogus")
         with pytest.raises(ValueError):
             AnnealSchedule(start_epoch=5, end_epoch=5)
+
+    def test_q_margin_rejects_a_target_weight_below_the_normal_range(self):
+        # exp(-s*m) must be a normal double: s*m <= -ln(tiny) ~ 708.3964
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="scale\\*margin"):
+                MarginConfig(scale=1600.0, margin=0.5, mode="q_margin")
+            with pytest.raises(ValueError):
+                MarginConfig(scale=1416.8, margin=0.5, mode="q_margin")
+            cfg = MarginConfig(scale=1416.0, margin=0.5, mode="q_margin")
+            assert build_q_margin_measure(0, 2, cfg)[0] >= np.finfo(np.float64).tiny
+            # the measure of the geometric-margin modes does not depend on s*m
+            MarginConfig(scale=1600.0, margin=0.5, mode="a3m")
 
 
 class TestFyLoss:
