@@ -184,24 +184,43 @@ def cmd_train(args):
     return 0
 
 
+def read_trials(path):
+    """Parse an 'i,j,flag' trials file (flag 1 genuine, 0 impostor; '#'
+    comments and blank lines skipped). It must hold trials of both kinds."""
+    try:
+        with open(path) as fh:
+            lines = list(fh)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not a text file ({exc})") from exc
+    trials = []
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            i, j, flag = (int(x) for x in line.split(","))
+        except ValueError:
+            flag = None
+        if flag not in (0, 1):
+            raise DataFormatError(f"{path}:{lineno}: bad trial line {line!r}")
+        trials.append((i, j, bool(flag)))
+    if len({same for _, _, same in trials}) < 2:
+        raise DataFormatError(f"{path}: needs both genuine (flag 1) and impostor (flag 0) trials")
+    return trials
+
+
 def cmd_eval(args):
     model = trainer.load_checkpoint(args.checkpoint)
     dataset = synthdata.load(args.dataset)
     if args.trials:
-        trials = []
-        with open(args.trials) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split(",")
-                if len(parts) != 3:
-                    raise DataFormatError(f"{args.trials}: bad trial line {line!r}")
-                trials.append((int(parts[0]), int(parts[1]), bool(int(parts[2]))))
+        trials = read_trials(args.trials)
     else:
-        trials = evalkit.make_trials(
-            dataset.labels, args.n_genuine, args.n_impostor, args.trial_seed
-        )
+        try:
+            trials = evalkit.make_trials(
+                dataset.labels, args.n_genuine, args.n_impostor, args.trial_seed
+            )
+        except ValueError as exc:
+            raise DataFormatError(f"{args.dataset}: {exc}") from exc
     embeddings = trainer.embed(model, dataset.points)
     try:
         scores = evalkit.score_trials(embeddings, trials)
@@ -270,6 +289,20 @@ def cmd_stats(args):
     return 0
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
+def far_target(text):
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"FAR target must be in (0, 1], got {text}")
+    return value
+
+
 def build_parser():
     parser = _Parser(prog="alphamargin", description=__doc__)
     parser.add_argument("--backend-info", action="store_true", help="print the active solver backend and exit")
@@ -294,10 +327,11 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--trials", help="CSV of 'i,j,flag' rows; generated if omitted")
-    p.add_argument("--n-genuine", type=int, default=2000)
-    p.add_argument("--n-impostor", type=int, default=20000)
+    p.add_argument("--n-genuine", type=positive_int, default=2000)
+    p.add_argument("--n-impostor", type=positive_int, default=20000)
     p.add_argument("--trial-seed", type=int, default=0)
-    p.add_argument("--far", type=float, action="append", default=[], help="FAR target (repeatable)")
+    p.add_argument("--far", type=far_target, action="append", default=[],
+                   help="FAR target in (0, 1] (repeatable)")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_eval)
 

@@ -1,13 +1,17 @@
 """Verification scoring and diagnostics: trial scoring, FRR@FAR, DET curves
 and the sparsity/misalignment statistics of trained models.
 
+The FRR@FAR and DET sweeps are O(n log n): the scores are sorted once and
+FAR(t) and FRR(t) counted at every threshold by binary search. Impostor
+sampling and trial scoring are whole-array operations.
+
 Tie handling: impostor scores equal to the threshold count as accepted
-(>= comparison). FAR targets below 1/|impostor| raise UnattainableFARError
-instead of extrapolating.
+(>= comparison). Thresholds are observed scores. FAR targets below
+1/|impostor|, or below the FAR of tied top impostor scores, raise
+UnattainableFARError instead of extrapolating.
 """
 
-import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,16 +39,13 @@ class SparsityReport:
     onehot_fraction: float
 
     def to_dict(self):
-        return {
-            "misaligned_identity_fraction": self.misaligned_identity_fraction,
-            "misaligned_image_fraction": self.misaligned_image_fraction,
-            "posterior_sparsity": self.posterior_sparsity,
-            "onehot_fraction": self.onehot_fraction,
-        }
+        return asdict(self)
 
 
 def make_trials(labels, n_genuine, n_impostor, seed):
-    """Sample (i, j, is_genuine) index pairs from a label vector."""
+    """Sample (i, j, is_genuine) index pairs from a label vector. Impostor
+    pairs are drawn in bulk; the PCG64 stream does not depend on the chunking,
+    so they are those of one rng.integers(n, size=2) call per pair."""
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     by_id = {}
@@ -59,12 +60,17 @@ def make_trials(labels, n_genuine, n_impostor, seed):
         i, j = rng.choice(len(grp), size=2, replace=False)
         trials.append((grp[i], grp[j], True))
     n = len(labels)
+    counts = np.unique(labels, return_counts=True)[1]
+    if n_impostor > 0 and len(counts) < 2:
+        raise ValueError("fewer than 2 identities; cannot build impostor trials")
+    accept = 1.0 - np.sum((counts / n) ** 2)  # P(a random pair has two labels)
     made = 0
     while made < n_impostor:
-        i, j = rng.integers(n, size=2)
-        if labels[i] != labels[j]:
-            trials.append((int(i), int(j), False))
-            made += 1
+        need = n_impostor - made  # 10% spare rows: one draw nearly always suffices
+        pairs = rng.integers(n, size=(int(need / accept * 1.1) + 16, 2))
+        pairs = pairs[labels[pairs[:, 0]] != labels[pairs[:, 1]]][:need]
+        trials.extend((i, j, False) for i, j in pairs.tolist())
+        made += len(pairs)
     return trials
 
 
@@ -72,13 +78,34 @@ def score_trials(embeddings, trials) -> TrialScoreSet:
     """Cosine scores for (i, j, is_genuine) trials over unit-norm embeddings."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
-    genuine, impostor = [], []
-    for i, j, same in trials:
-        if not (0 <= i < n and 0 <= j < n):
-            raise IndexError(f"trial index ({i}, {j}) out of range for {n} embeddings")
-        s = float(embeddings[i] @ embeddings[j])
-        (genuine if same else impostor).append(s)
-    return TrialScoreSet(genuine=np.array(genuine), impostor=np.array(impostor))
+    if len(trials) == 0:
+        return TrialScoreSet(genuine=np.array([]), impostor=np.array([]))
+    i, j, same = (np.array(col) for col in zip(*trials))
+    bad = np.flatnonzero(~((0 <= i) & (i < n) & (0 <= j) & (j < n)))
+    if bad.size:
+        i, j, _ = trials[bad[0]]
+        raise IndexError(f"trial index ({i}, {j}) out of range for {n} embeddings")
+    # one ddot per pair, as embeddings[i] @ embeddings[j]
+    s = np.matmul(embeddings[i][:, None, :], embeddings[j][:, :, None])[:, 0, 0]
+    same = same.astype(bool)
+    return TrialScoreSet(genuine=s[same], impostor=s[~same])
+
+
+def _require_both_kinds(scores):
+    if len(scores.genuine) == 0 or len(scores.impostor) == 0:
+        raise ValueError("both genuine and impostor score lists must be nonempty")
+
+
+def _far_frr(scores, thresholds):
+    """FAR(t) = #{impostor >= t} / n_imp and FRR(t) = #{genuine < t} / n_gen
+    at each threshold, by binary search in the sorted scores. Exact counts
+    over n, so bitwise the mean of the boolean masks."""
+    genuine = np.sort(scores.genuine)
+    impostor = np.sort(scores.impostor)
+    n_imp = len(impostor)
+    far = (n_imp - np.searchsorted(impostor, thresholds, "left")) / n_imp
+    frr = np.searchsorted(genuine, thresholds, "left") / len(genuine)
+    return far, frr
 
 
 def frr_at_far(scores: TrialScoreSet, far_target: float):
@@ -88,8 +115,7 @@ def frr_at_far(scores: TrialScoreSet, far_target: float):
     scores < t. Thresholds are swept over the observed impostor scores, the
     points where FAR actually changes (resolution 1/|impostor|).
     """
-    if len(scores.genuine) == 0 or len(scores.impostor) == 0:
-        raise ValueError("both genuine and impostor score lists must be nonempty")
+    _require_both_kinds(scores)
     if not 0.0 < far_target <= 1.0:
         raise ValueError(f"far_target must be in (0, 1], got {far_target}")
     n_imp = len(scores.impostor)
@@ -97,35 +123,33 @@ def frr_at_far(scores: TrialScoreSet, far_target: float):
         raise UnattainableFARError(
             f"FAR target {far_target:g} is below the 1/{n_imp} resolution of the impostor set"
         )
-    for t in np.unique(scores.impostor):
-        far = np.mean(scores.impostor >= t)
-        if far <= far_target:
-            frr = float(np.mean(scores.genuine < t))
-            return frr, float(t)
-    # a duplicated maximum impostor score can leave every candidate above target
-    raise UnattainableFARError(
-        f"no impostor-score threshold reaches FAR <= {far_target:g} "
-        "(tied scores at the top of the impostor list)"
-    )
+    thresholds = np.unique(scores.impostor)
+    far, frr = _far_frr(scores, thresholds)
+    hit = np.flatnonzero(far <= far_target)
+    if hit.size == 0:
+        # a duplicated maximum impostor score can leave every candidate above target
+        raise UnattainableFARError(
+            f"no impostor-score threshold reaches FAR <= {far_target:g} "
+            "(tied scores at the top of the impostor list)"
+        )
+    return float(frr[hit[0]]), float(thresholds[hit[0]])
 
 
 def det_points(scores: TrialScoreSet):
     """DET sweep: (far, frr, threshold) rows sorted by far ascending."""
-    thresholds = np.unique(np.concatenate([scores.genuine, scores.impostor]))
-    rows = []
-    for t in thresholds[::-1]:  # descending threshold -> ascending FAR
-        far = float(np.mean(scores.impostor >= t))
-        frr = float(np.mean(scores.genuine < t))
-        rows.append((far, frr, float(t)))
-    return rows
+    _require_both_kinds(scores)
+    # descending threshold -> ascending FAR
+    thresholds = np.unique(np.concatenate([scores.genuine, scores.impostor]))[::-1]
+    far, frr = _far_frr(scores, thresholds)
+    return list(zip(far.tolist(), frr.tolist(), thresholds.tolist()))
 
 
 def write_det_csv(rows, path):
+    """CSV with a header and repr-formatted rows, byte for byte what
+    csv.writer writes: a float repr never needs quoting; lines end in CRLF."""
+    lines = ["far,frr,threshold"] + [f"{far!r},{frr!r},{t!r}" for far, frr, t in rows]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["far", "frr", "threshold"])
-        for far, frr, t in rows:
-            w.writerow([repr(far), repr(frr), repr(t)])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def avg_relative_improvement(det_ours, det_base, far_lo, far_hi, n_grid=50):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from alphamargin import _fallback
+from alphamargin.errors import UnattainableFARError
+from alphamargin.evalkit import TrialScoreSet
 
 
 def sparsemax_oracle(z):
@@ -36,6 +38,77 @@ def posterior_batch_loop_reference(theta, q, alpha, tol, max_iters):
         P[i], taus[i] = _fallback.posterior(theta[i], q[i], alpha, tol, max_iters)
     return P, taus
 
+
+
+# The evalkit functions as they were before the sort-and-count rewrite: one
+# rng.integers call per impostor pair, one dot per trial and an np.mean per
+# threshold. Oracles of the parity tests in test_evalkit.py.
+
+def make_trials_loop_reference(labels, n_genuine, n_impostor, seed):
+    labels = np.asarray(labels)
+    rng = np.random.default_rng(seed)
+    by_id = {}
+    for i, y in enumerate(labels):
+        by_id.setdefault(int(y), []).append(i)
+    multi = [v for v in by_id.values() if len(v) >= 2]
+    if not multi:
+        raise ValueError("no identity has >= 2 samples; cannot build genuine trials")
+    trials = []
+    for _ in range(n_genuine):
+        grp = multi[rng.integers(len(multi))]
+        i, j = rng.choice(len(grp), size=2, replace=False)
+        trials.append((grp[i], grp[j], True))
+    n = len(labels)
+    made = 0
+    while made < n_impostor:
+        i, j = rng.integers(n, size=2)
+        if labels[i] != labels[j]:
+            trials.append((int(i), int(j), False))
+            made += 1
+    return trials
+
+
+def score_trials_loop_reference(embeddings, trials):
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    n = embeddings.shape[0]
+    genuine, impostor = [], []
+    for i, j, same in trials:
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError(f"trial index ({i}, {j}) out of range for {n} embeddings")
+        s = float(embeddings[i] @ embeddings[j])
+        (genuine if same else impostor).append(s)
+    return TrialScoreSet(genuine=np.array(genuine), impostor=np.array(impostor))
+
+
+def frr_at_far_loop_reference(scores, far_target):
+    if len(scores.genuine) == 0 or len(scores.impostor) == 0:
+        raise ValueError("both genuine and impostor score lists must be nonempty")
+    if not 0.0 < far_target <= 1.0:
+        raise ValueError(f"far_target must be in (0, 1], got {far_target}")
+    n_imp = len(scores.impostor)
+    if far_target < 1.0 / n_imp:
+        raise UnattainableFARError(
+            f"FAR target {far_target:g} is below the 1/{n_imp} resolution of the impostor set"
+        )
+    for t in np.unique(scores.impostor):
+        far = np.mean(scores.impostor >= t)
+        if far <= far_target:
+            frr = float(np.mean(scores.genuine < t))
+            return frr, float(t)
+    raise UnattainableFARError(
+        f"no impostor-score threshold reaches FAR <= {far_target:g} "
+        "(tied scores at the top of the impostor list)"
+    )
+
+
+def det_points_loop_reference(scores):
+    thresholds = np.unique(np.concatenate([scores.genuine, scores.impostor]))
+    rows = []
+    for t in thresholds[::-1]:
+        far = float(np.mean(scores.impostor >= t))
+        frr = float(np.mean(scores.genuine < t))
+        rows.append((far, frr, float(t)))
+    return rows
 
 def cosface_recovery_draws():
     """The 1000 (k, c, y, s, m) draws of acceptance criterion 3b, in order."""

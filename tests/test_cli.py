@@ -220,6 +220,92 @@ class TestEval:
         assert code == 2
 
 
+    def _eval(self, tmp_path, ckpt, dataset, *extra):
+        out = tmp_path / "eval"
+        code = run(
+            ["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset), *extra,
+             "--out-dir", str(out)]
+        )
+        return code, out
+
+    @pytest.mark.parametrize("labels", [[0, 0, 0], [0, 1, 2]], ids=["one_identity", "singletons"])
+    def test_dataset_without_trials_is_data_error(self, tmp_path, dataset_path, capsys, labels):
+        # one identity has no impostor pairs (make_trials used to loop
+        # forever); singletons have no genuine pairs
+        ckpt = self._train(tmp_path, dataset_path, epochs="1")
+        ds = synthdata.load(dataset_path)
+        small = tmp_path / "small.bin"
+        synthdata.save(
+            synthdata.Dataset(points=ds.points[:3], labels=np.array(labels),
+                              id_counts=np.bincount(labels)),
+            small,
+        )
+        capsys.readouterr()
+        code, out = self._eval(tmp_path, ckpt, small, "--n-genuine", "2", "--n-impostor", "1")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("far", ["0", "1.5", "nan", "-0.001", "inf"])
+    def test_far_outside_unit_interval_is_usage_error(self, tmp_path, capsys, far):
+        # rejected while parsing, before any file is read or written
+        code, out = self._eval(tmp_path, "missing.bin", "missing.bin", "--far", "0.1", "--far", far)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "--far" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--n-genuine", "--n-impostor"])
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_trial_count_below_one_is_usage_error(self, tmp_path, capsys, flag, count):
+        code, out = self._eval(tmp_path, "missing.bin", "missing.bin", flag, count)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and flag in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "text", ["", "# header only\n", "0,1,1\n1,2,1\n", "0,8,0\n"],
+        ids=["empty", "comment_only", "genuine_only", "impostor_only"],
+    )
+    def test_trials_file_without_both_kinds_is_data_error(self, tmp_path, dataset_path, capsys, text):
+        ckpt = self._train(tmp_path, dataset_path, epochs="1")
+        trials_path = tmp_path / "trials.csv"
+        trials_path.write_text(text)
+        capsys.readouterr()
+        code, out = self._eval(tmp_path, ckpt, dataset_path, "--trials", str(trials_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "both genuine" in err and "Traceback" not in err
+        assert not (out / "det.csv").exists()
+
+    @pytest.mark.parametrize(
+        "bad", ["a,1,0", "0,1,2", "0,1,-1", "0,1", "0,1,0,1", "0.0,1,0", "0,1,true"]
+    )
+    def test_malformed_trial_line_is_data_error(self, tmp_path, dataset_path, capsys, bad):
+        ckpt = self._train(tmp_path, dataset_path, epochs="1")
+        trials_path = tmp_path / "trials.csv"
+        trials_path.write_text(f"# i,j,flag\n0,1,1\n{bad}\n2,9,0\n")
+        capsys.readouterr()
+        code, out = self._eval(tmp_path, ckpt, dataset_path, "--trials", str(trials_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"trials.csv:3: bad trial line {bad!r}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_binary_trials_file_is_data_error(self, tmp_path, dataset_path, capsys):
+        ckpt = self._train(tmp_path, dataset_path, epochs="1")
+        trials_path = tmp_path / "trials.csv"
+        trials_path.write_bytes(b"0,1,1\n\xa3\xff\x00\n")
+        capsys.readouterr()
+        code, out = self._eval(tmp_path, ckpt, dataset_path, "--trials", str(trials_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "not a text file" in err and "Traceback" not in err
+        assert not out.exists()
+
 class TestProbe:
     def test_sparsemax_instance(self, capsys):
         code = run(["probe", "--theta", "0.5,0.0", "--alpha", "2.0"])
