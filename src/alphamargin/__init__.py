@@ -1,6 +1,6 @@
-"""Margin-based alpha-divergence losses with a bisection alpha-softargmax solver."""
+"""Margin-based alpha-divergence losses with a safeguarded-Newton alpha-softargmax solver."""
 
-from .backend import BACKEND, HAVE_COMPILED
+from .backend import BACKEND
 from .core import (
     AlphaParams,
     PosteriorDistribution,

@@ -1,13 +1,20 @@
-"""Pure-numpy backend for the alpha-softargmax solver.
+"""The alpha-softargmax solver: safeguarded Newton on the normalizing shift tau.
 
-Mirrors the compiled extension in alphamargin._kernels; used when the
-extension is not built. Same bracketing, same termination rules, so the
-two backends agree to solver tolerance.
+For logits theta, reference measure q and alpha > 1 the posterior is
+p_j = q_j * [z_j]_+ ** (1/(alpha-1)) with z_j = 1 + (alpha-1)*(theta_j - tau),
+and tau is the root of S(tau) = sum(p) = 1. Newton runs on
+phi(tau) = S(tau)**(alpha-1) - 1, which is exactly linear while one class
+holds the support, and convex and decreasing for alpha <= 2, so its steps
+from the lower bracket end never overshoot. One power per sweep,
+w = z ** (1/(alpha-1) - 1), gives both S = sum(q*w*z) and S' = -sum(q*w).
 
-`posterior_batch` is bitwise equal to calling `posterior` on each row: it
-runs the bisection of `solve_tau` on blocks of rows at once, with the same
-floating-point operations per row, the same exits and the same
-`SolverError`s, for finite inputs.
+The bracket [lo, hi] = [theta_t - f'(1/q_t), theta_t - f'(1/sum(q))] for
+t = argmax theta is kept, and a step that leaves it is replaced by a
+bisection step (alpha > 2 makes phi concave near the root).
+
+Each row is summed on its own, in column order, with the same operations
+whatever the other rows of the batch are, so a row of `posterior_batch` is
+bitwise the one-row solve of the same inputs.
 """
 
 import numpy as np
@@ -18,194 +25,138 @@ from .errors import SolverError
 # is still wider than the width tolerance.
 RESIDUAL_TOL = 1e-12
 
+# A posterior row must sum to 1 within this.
+SUM_TOL = 1e-8
+
 # Rows solved together by posterior_batch; bounds its (rows, k) temporaries.
-BLOCK_ROWS = 128
-
-# posterior_batch drops clipped candidate columns every this many sweeps,
-# and whenever rows exit.
-_PRUNE_EVERY = 4
+BLOCK_ROWS = 256
 
 
-def _f_prime(u, alpha):
-    return (u ** (alpha - 1.0) - 1.0) / (alpha - 1.0)
+def _weights(z, q, e):
+    """(q*w, q*w*z) with w = z**e where z > 0 and 0 where z <= 0."""
+    zp = np.maximum(z, 0.0)
+    if e == 0.0:  # alpha = 2; 0**0 would be 1
+        qw = np.where(z > 0.0, q, 0.0)
+    elif e == 3.0:  # alpha = 1.25, two products in place of a power
+        qw = q * (zp * zp * zp)
+    elif e > 0.0:
+        qw = q * zp**e
+    else:  # alpha > 2: a negative power of the clipped zeros would be inf
+        pos = z > 0.0
+        qw = np.where(pos, q * np.where(pos, z, 1.0) ** e, 0.0)
+    return qw, qw * zp
 
 
-def _clip_pow(z, inv_am1):
-    # [z]_+ ** (1/(alpha-1)) with the z <= 0 branch producing an exact zero
-    out = np.zeros_like(z)
-    pos = z > 0.0
-    out[pos] = z[pos] ** inv_am1
-    return out
-
-
-def solve_tau(theta, q, alpha, tol, max_iters):
-    """Bisection for the normalizing shift tau of one logit vector."""
+def _bracket(theta, q, alpha):
+    """[theta_t - f'(1/q_t), theta_t - f'(1/sum(q))] per row, t = argmax theta."""
     am1 = alpha - 1.0
-    inv_am1 = 1.0 / am1
-    t = int(np.argmax(theta))
-    lo = theta[t] - _f_prime(1.0 / q[t], alpha)
-    hi = theta[t] - _f_prime(1.0 / q.sum(), alpha)
-    if lo == hi:
-        return lo
-
-    def residual(tau):
-        return float((q * _clip_pow(1.0 + am1 * (theta - tau), inv_am1)).sum()) - 1.0
-
-    r_lo = residual(lo)
-    r_hi = residual(hi)
-    # The residual is nonincreasing in tau, so a valid bracket has
-    # r_lo >= 0 >= r_hi (up to roundoff right at the root).
-    if r_lo < -1e-9 or r_hi > 1e-9:
-        raise SolverError(
-            f"bracket residuals have the same sign (r_lo={r_lo:.3e}, r_hi={r_hi:.3e}); "
-            "upstream invariant violated"
-        )
-    if abs(r_lo) <= RESIDUAL_TOL:
-        return lo
-    if abs(r_hi) <= RESIDUAL_TOL:
-        return hi
-
-    for _ in range(max_iters):
-        mid = 0.5 * (lo + hi)
-        r = residual(mid)
-        if abs(r) <= RESIDUAL_TOL:
-            return mid
-        if r > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            return 0.5 * (lo + hi)
-    raise SolverError(
-        f"bisection did not converge in {max_iters} iterations "
-        f"(bracket width {hi - lo:.3e} > tol {tol:.3e})"
-    )
+    t = (np.arange(len(theta)), np.argmax(theta, axis=1))
+    # f'(u) = (u**(alpha-1) - 1)/(alpha-1), as expm1 so that alpha -> 1 keeps its digits
+    lo = theta[t] - np.expm1(-am1 * np.log(q[t])) / am1
+    hi = theta[t] - np.expm1(-am1 * np.log(q.sum(axis=1))) / am1
+    return lo, hi
 
 
-def posterior(theta, q, alpha, tol, max_iters):
-    """Dense alpha-softargmax of one logit vector. Returns (p, tau)."""
-    tau = solve_tau(theta, q, alpha, tol, max_iters)
-    am1 = alpha - 1.0
-    p = q * _clip_pow(1.0 + am1 * (theta - tau), 1.0 / am1)
-    return p, tau
+def _solve_block(theta, q, alpha, tol, max_iters, P, taus):
+    """Solve the rows of a C-contiguous (b, k) block into P (zeroed) and taus.
 
-
-def _f_prime_rows(u, alpha):
-    # _f_prime per entry with the scalar pow of solve_tau: numpy's array pow
-    # may round differently from the C pow that scalars use.
-    am1 = alpha - 1.0
-    return (np.array([x ** am1 for x in u.tolist()]) - 1.0) / am1
-
-
-def _solve_tau_block(theta, q, alpha, tol, max_iters):
-    """`solve_tau` on every row of a C-contiguous (b, k) block.
-
-    Returns (taus, errors); errors maps a row to the message `solve_tau`
-    raises for it. The residual of a row is evaluated on its candidate
-    columns only: those with z(L) = 1 + (alpha-1)*(theta - L) > 0, where L
-    is the row's lower bracket end. z is nonincreasing in tau under
-    rounding and L only rises, so every other column stays clipped to
-    exactly zero. The candidate terms are scattered into a zeroed (rows, k)
-    buffer, so each row sum adds the same values in the same places as the
-    1-D sum of `solve_tau`.
+    Returns {row: message} for the rows that fail: a bracket that is not
+    finite, max_iters sweeps without an exit, or a posterior that does not sum
+    to 1 within SUM_TOL at the exit (at alpha > 2 a class near its clip can
+    hold more mass than any double tau resolves). A sweep at tau sums only
+    the row's candidate columns, those with z > 0 at its lower bracket end:
+    tau never falls below it, so every other column stays clipped.
     """
     am1 = alpha - 1.0
-    inv_am1 = 1.0 / am1
+    e = 1.0 / am1 - 1.0
     b, k = theta.shape
-    taus = np.empty(b)
-    errors = {}
-
-    rows = np.arange(b)
-    t = np.argmax(theta, axis=1)
-    lo = theta[rows, t] - _f_prime_rows(1.0 / q[rows, t], alpha)
-    hi = theta[rows, t] - _f_prime_rows(1.0 / q.sum(axis=1), alpha)
-    same = lo == hi
-    taus[same] = lo[same]
-    act = np.flatnonzero(~same)
-    lo, hi = lo[act], hi[act]
-
-    # Candidates at L = min(lo, hi): every mid lies in [min, max] of the
-    # bracket, and the minimum never falls.
-    crow, col = np.nonzero(1.0 + am1 * (theta[act] - np.minimum(lo, hi)[:, None]) > 0.0)
-    th_c = theta[act[crow], col]
-    q_c = q[act[crow], col]
+    lo, hi = _bracket(theta, q, alpha)
+    live = np.isfinite(lo) & np.isfinite(hi)
+    errors = {
+        int(i): f"bracket [{float(lo[i])!r}, {float(hi[i])!r}] is not finite "
+        "(logits or reference measure out of the solver's range)"
+        for i in np.flatnonzero(~live)
+    }
+    tau = lo
+    crow, col = np.nonzero((1.0 + am1 * (theta - lo[:, None]) > 0.0) & live[:, None])
     at = crow * k + col
-    buf = np.zeros((len(act), k))
-    flat = buf.reshape(-1)
+    th_c = theta.reshape(-1)[at]
+    q_c = q.reshape(-1)[at]
+    P_flat = P.reshape(-1)
 
-    def residual(tau):
+    for _ in range(max_iters):
         z = 1.0 + am1 * (th_c - tau[crow])
-        # pow(0, e) is exactly 0, so this is _clip_pow on the candidates
-        flat[at] = q_c * np.maximum(z, 0.0) ** inv_am1
-        r = buf[: len(tau)].sum(axis=1) - 1.0
-        flat[at] = 0.0
-        return r, z
-
-    r_lo, _ = residual(lo)
-    r_hi, _ = residual(hi)
-    bad = (r_lo < -1e-9) | (r_hi > 1e-9)
-    for i in np.flatnonzero(bad):
-        errors[act[i]] = (
-            f"bracket residuals have the same sign (r_lo={r_lo[i]:.3e}, r_hi={r_hi[i]:.3e}); "
-            "upstream invariant violated"
-        )
-    at_lo = ~bad & (np.abs(r_lo) <= RESIDUAL_TOL)
-    at_hi = ~bad & ~at_lo & (np.abs(r_hi) <= RESIDUAL_TOL)
-    taus[act[at_lo]] = lo[at_lo]
-    taus[act[at_hi]] = hi[at_hi]
-    stay = ~(bad | at_lo | at_hi)
-
-    z = None
-    for sweep in range(max_iters):
-        if sweep % _PRUNE_EVERY == 0 or not stay.all():
-            keep = stay[crow]
-            if z is not None:
-                # where L rose to the last mid, the columns clipped there stay clipped
-                keep &= (z > 0.0) | (np.minimum(lo, hi) != mid)[crow]
-            act, lo, hi = act[stay], lo[stay], hi[stay]
-            crow = (np.cumsum(stay) - 1)[crow[keep]]
-            col, th_c, q_c = col[keep], th_c[keep], q_c[keep]
-            at = crow * k + col
-            if not len(act):
-                break
-        mid = 0.5 * (lo + hi)
-        r, z = residual(mid)
-        hit = np.abs(r) <= RESIDUAL_TOL
+        qw, qwz = _weights(z, q_c, e)
+        S = np.bincount(crow, qwz, b)
+        r = S - 1.0
         up = r > 0.0
-        lo = np.where(up, mid, lo)
-        hi = np.where(up, hi, mid)
-        width = hi - lo <= tol
-        stay = ~(hit | width)
-        if not stay.all():
-            width &= ~hit
-            taus[act[hit]] = mid[hit]
-            taus[act[width]] = 0.5 * (lo[width] + hi[width])
+        lo = np.where(up, tau, lo)
+        hi = np.where(up, hi, tau)
+        # tau - phi/phi' with phi' = -(alpha-1) * S**(alpha-2) * sum(q*w)
+        newton = tau + (S - S ** (2.0 - alpha)) / (am1 * np.bincount(crow, qw, b))
+        dev = np.abs(r)
+        done = live & (
+            (dev <= RESIDUAL_TOL)
+            # a narrow bracket ends the solve once its posterior is valid
+            | ((hi - lo <= tol) & (dev <= SUM_TOL))
+            | (newton == tau)  # the step is below half an ulp of tau
+            | (np.nextafter(lo, hi) == hi)  # no double inside the bracket
+        )
+        if np.count_nonzero(done):
+            fin = done[crow]
+            P_flat[at[fin]] = qwz[fin]
+            taus[done] = tau[done]
+            live &= ~done
+            if not np.count_nonzero(live):
+                break
+            # drop the finished rows, and the columns clipped at a new lower end
+            keep = np.flatnonzero(~fin & ((z > 0.0) | ~up[crow]))
+            crow, at, th_c, q_c = crow[keep], at[keep], th_c[keep], q_c[keep]
+        tau = np.where((lo < newton) & (newton <= hi), newton, 0.5 * (lo + hi))
     else:
-        act, lo, hi = act[stay], lo[stay], hi[stay]
-        for i, row in enumerate(act):
-            errors[row] = (
-                f"bisection did not converge in {max_iters} iterations "
-                f"(bracket width {hi[i] - lo[i]:.3e} > tol {tol:.3e})"
+        for i in np.flatnonzero(live):
+            errors[int(i)] = (
+                f"solver did not converge in {max_iters} iterations (bracket width "
+                f"{hi[i] - lo[i]:.3e}, tol {tol:.3e}, posterior sum {S[i]!r})"
             )
-    return taus, errors
+
+    totals = P.sum(axis=1)
+    for i in np.flatnonzero(~(np.abs(totals - 1.0) <= SUM_TOL)):
+        errors.setdefault(
+            int(i),
+            f"posterior sums to {float(totals[i])!r}, not 1: no double tau normalizes it "
+            "(logits or reference measure out of the solver's range)",
+        )
+    return errors
 
 
 def posterior_batch(theta, q, alpha, tol, max_iters):
     """Row-wise alpha-softargmax. theta and q are (B, k). Returns (P, taus).
 
-    Bitwise equal to `posterior` row by row, and raises the `SolverError`
-    that the first failing row would raise there.
+    Raises SolverError for the first failing row, naming it.
     """
+    theta = np.ascontiguousarray(theta, dtype=np.float64)
+    q = np.ascontiguousarray(q, dtype=np.float64)
     B, k = theta.shape
-    am1 = alpha - 1.0
-    P = np.empty((B, k))
+    P = np.zeros((B, k))
     taus = np.empty(B)
-    for start in range(0, B, BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        th = np.ascontiguousarray(theta[rows], dtype=np.float64)
-        qb = np.ascontiguousarray(q[rows], dtype=np.float64)
-        taus[rows], errors = _solve_tau_block(th, qb, alpha, tol, max_iters)
-        if errors:
-            raise SolverError(errors[min(errors)])
-        P[rows] = qb * _clip_pow(1.0 + am1 * (th - taus[rows, None]), 1.0 / am1)
+    # non-finite sums and steps are caught by the bracket and step checks
+    with np.errstate(all="ignore"):
+        for start in range(0, B, BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            errors = _solve_block(theta[rows], q[rows], alpha, tol, max_iters, P[rows], taus[rows])
+            if errors:
+                row = min(errors)
+                raise SolverError(f"row {start + row}: {errors[row]}")
     return P, taus
+
+
+def posterior(theta, q, alpha, tol, max_iters):
+    """Dense alpha-softargmax of one logit vector. Returns (p, tau).
+
+    The one-row case of posterior_batch, so bitwise its row.
+    """
+    P, taus = posterior_batch(
+        np.reshape(theta, (1, -1)), np.reshape(q, (1, -1)), alpha, tol, max_iters
+    )
+    return P[0], taus[0]

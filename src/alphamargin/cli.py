@@ -209,9 +209,21 @@ def read_trials(path):
     return trials
 
 
+def load_model_and_dataset(checkpoint, dataset_path):
+    """The checkpoint and the dataset it embeds; points of another dimension
+    than the checkpoint's input are a data error."""
+    model = trainer.load_checkpoint(checkpoint)
+    dataset = synthdata.load(dataset_path)
+    d_in = model.w1.shape[1]
+    if dataset.d != d_in:
+        raise DataFormatError(
+            f"{dataset_path}: points are {dataset.d}-d, but {checkpoint} takes {d_in}-d inputs"
+        )
+    return model, dataset
+
+
 def cmd_eval(args):
-    model = trainer.load_checkpoint(args.checkpoint)
-    dataset = synthdata.load(args.dataset)
+    model, dataset = load_model_and_dataset(args.checkpoint, args.dataset)
     if args.trials:
         trials = read_trials(args.trials)
     else:
@@ -274,8 +286,7 @@ def cmd_probe(args):
 
 def cmd_stats(args):
     parsed, _ = read_train_config(args.config)
-    model = trainer.load_checkpoint(args.checkpoint)
-    dataset = synthdata.load(args.dataset)
+    model, dataset = load_model_and_dataset(args.checkpoint, args.dataset)
     cfg = parsed["train"]
     loss_cfg = cfg.loss.with_margin(trainer.annealed_margin(cfg.loss, cfg.epochs))
     report = evalkit.sparsity_report(

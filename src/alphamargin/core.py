@@ -31,7 +31,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class AlphaParams:
-    """Divergence index alpha (> 1) and bisection tolerances."""
+    """Divergence index alpha (> 1) and solver tolerances.
+
+    The tau solve stops once its bracket is at most bisect_tol wide (the name
+    is kept so that existing configs load); max_iters bounds its sweeps.
+    """
 
     alpha: float
     bisect_tol: float = 1e-10
@@ -154,13 +158,15 @@ def divergence(p, q, params):
 def root_find_tau(theta, q, params):
     """Normalizing shift tau* solving sum_j q_j * f_conj_prime(theta_j - tau) = 1.
 
-    Bisection bracketed by [theta_t - f'(1/q_t), theta_t - f'(1/sum(q))] for
-    t = argmax theta. Raises SolverError if the bracket is invalid or the
-    iteration budget is exhausted before the bracket width reaches bisect_tol.
+    Safeguarded Newton inside the bracket [theta_t - f'(1/q_t),
+    theta_t - f'(1/sum(q))] for t = argmax theta. Raises SolverError if the
+    bracket is not finite, the posterior at tau does not sum to 1, or
+    max_iters sweeps end before the solve converges.
     """
     theta = _check_logits(theta)
     q = _check_measure(q, k=theta.shape[0])
-    return float(backend.solve_tau(theta, q, params.alpha, params.bisect_tol, params.max_iters))
+    _, tau = backend.posterior(theta, q, params.alpha, params.bisect_tol, params.max_iters)
+    return float(tau)
 
 
 def alpha_softargmax(theta, q, params):

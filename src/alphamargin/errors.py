@@ -2,7 +2,7 @@
 
 
 class SolverError(RuntimeError):
-    """Raised when the tau bisection cannot bracket or converge to the root."""
+    """Raised when the tau solve cannot bracket or converge to the root."""
 
 
 class DataFormatError(ValueError):

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from . import backend
-from .core import AlphaParams, PosteriorDistribution, divergence
+from .core import PosteriorDistribution, _check_measure
 
 MODES = ("q_margin", "a3m", "cosface", "arcface")
 
@@ -74,16 +74,34 @@ def one_hot(y, k):
     return e
 
 
+def _fy_values(Theta, ys, Q, P, taus, alpha):
+    """Fenchel-Young loss values of (B, k) rows from their solve, in closed form.
+
+    With p = q * z**(1/(a-1)) at tau, sum_j q_j f(p_j/q_j) = (<p, theta> -
+    (tau + 1) * sum(p) + sum(q)) / a and D_f(y:q) = (sum(q) - q_y)/a +
+    q_y f(1/q_y), so the sum(q) terms cancel and no (B, k) power is needed.
+    """
+    rows = np.arange(len(ys))
+    am1 = alpha - 1.0
+    q_y = Q[rows, ys]
+    # q f(1/q) = (expm1(-(a-1) ln q)/(a-1) - (1 - q)) / a, exact as a -> 1
+    target = (np.expm1(-am1 * np.log(q_y)) / am1 - (1.0 - q_y)) / alpha
+    p_theta = np.sum(P * Theta, axis=1)
+    return (am1 * p_theta + (taus + 1.0) * P.sum(axis=1) - q_y) / alpha + target - Theta[rows, ys]
+
+
 def fy_loss(theta, y, q, params):
-    """Fenchel-Young alpha-divergence loss and its gradient p - y."""
+    """Fenchel-Young alpha-divergence loss and its gradient p - y.
+
+    The one-row case of fy_loss_batch.
+    """
     theta = np.asarray(theta, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    k = theta.shape[0]
-    yv = one_hot(y, k)
-    p, _ = backend.posterior(theta, q, params.alpha, params.bisect_tol, params.max_iters)
-    value = float(p @ theta - divergence(p, q, params) + divergence(yv, q, params) - theta[y])
+    yv = one_hot(y, theta.shape[0])
+    q = _check_measure(q, k=theta.shape[0])
+    p, tau = backend.posterior(theta, q, params.alpha, params.bisect_tol, params.max_iters)
+    value = _fy_values(theta[None], [y], q[None], p[None], np.array([tau]), params.alpha)[0]
     return LossOutput(
-        value=value,
+        value=float(value),
         grad_logits=p - yv,
         posterior=PosteriorDistribution.from_dense(p),
     )
@@ -94,23 +112,12 @@ def fy_loss_batch(Theta, ys, Q, params):
     Theta = np.ascontiguousarray(Theta, dtype=np.float64)
     Q = np.ascontiguousarray(Q, dtype=np.float64)
     ys = np.asarray(ys)
-    B, k = Theta.shape
-    P, _ = backend.posterior_batch(Theta, Q, params.alpha, params.bisect_tol, params.max_iters)
-    a = params.alpha
-    rows = np.arange(B)
-
-    def df_batch(U):
-        return np.sum(Q * (((U**a - 1.0) - a * (U - 1.0)) / (a * (a - 1.0))), axis=1)
-
-    Y = np.zeros_like(Theta)
-    Y[rows, ys] = 1.0
-    values = (
-        np.sum(P * Theta, axis=1)
-        - df_batch(P / Q)
-        + df_batch(Y / Q)
-        - Theta[rows, ys]
+    P, taus = backend.posterior_batch(
+        Theta, Q, params.alpha, params.bisect_tol, params.max_iters
     )
-    return values, P - Y, P
+    G = P.copy()
+    G[np.arange(len(ys)), ys] -= 1.0
+    return _fy_values(Theta, ys, Q, P, taus, params.alpha), G, P
 
 
 def build_q_margin_measure(y, k, cfg):

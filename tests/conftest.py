@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from alphamargin import _fallback
-from alphamargin.errors import UnattainableFARError
+from alphamargin.errors import SolverError, UnattainableFARError
 from alphamargin.evalkit import TrialScoreSet
 
 
@@ -29,15 +28,75 @@ def cross_entropy_oracle(theta, y):
     return float(np.log(np.exp(z).sum()) - z[y])
 
 
-def posterior_batch_loop_reference(theta, q, alpha, tol, max_iters):
-    """The numpy backend's batch solve as a loop of one scalar solve per row."""
-    B, k = theta.shape
-    P = np.empty((B, k))
-    taus = np.empty(B)
-    for i in range(B):
-        P[i], taus[i] = _fallback.posterior(theta[i], q[i], alpha, tol, max_iters)
-    return P, taus
+# The scalar bisection solver as it was before the safeguarded-Newton solver
+# replaced it, kept verbatim: the oracle of the parity tests in
+# test_backends.py.
 
+RESIDUAL_TOL = 1e-12
+
+
+def _f_prime(u, alpha):
+    return (u ** (alpha - 1.0) - 1.0) / (alpha - 1.0)
+
+
+def _clip_pow(z, inv_am1):
+    # [z]_+ ** (1/(alpha-1)) with the z <= 0 branch producing an exact zero
+    out = np.zeros_like(z)
+    pos = z > 0.0
+    out[pos] = z[pos] ** inv_am1
+    return out
+
+
+def solve_tau_bisection_reference(theta, q, alpha, tol, max_iters):
+    """Bisection for the normalizing shift tau of one logit vector."""
+    am1 = alpha - 1.0
+    inv_am1 = 1.0 / am1
+    t = int(np.argmax(theta))
+    lo = theta[t] - _f_prime(1.0 / q[t], alpha)
+    hi = theta[t] - _f_prime(1.0 / q.sum(), alpha)
+    if lo == hi:
+        return lo
+
+    def residual(tau):
+        return float((q * _clip_pow(1.0 + am1 * (theta - tau), inv_am1)).sum()) - 1.0
+
+    r_lo = residual(lo)
+    r_hi = residual(hi)
+    # The residual is nonincreasing in tau, so a valid bracket has
+    # r_lo >= 0 >= r_hi (up to roundoff right at the root).
+    if r_lo < -1e-9 or r_hi > 1e-9:
+        raise SolverError(
+            f"bracket residuals have the same sign (r_lo={r_lo:.3e}, r_hi={r_hi:.3e}); "
+            "upstream invariant violated"
+        )
+    if abs(r_lo) <= RESIDUAL_TOL:
+        return lo
+    if abs(r_hi) <= RESIDUAL_TOL:
+        return hi
+
+    for _ in range(max_iters):
+        mid = 0.5 * (lo + hi)
+        r = residual(mid)
+        if abs(r) <= RESIDUAL_TOL:
+            return mid
+        if r > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol:
+            return 0.5 * (lo + hi)
+    raise SolverError(
+        f"bisection did not converge in {max_iters} iterations "
+        f"(bracket width {hi - lo:.3e} > tol {tol:.3e})"
+    )
+
+
+def posterior_bisection_reference(theta, q, alpha, tol, max_iters):
+    """Dense alpha-softargmax of one logit vector. Returns (p, tau)."""
+    tau = solve_tau_bisection_reference(theta, q, alpha, tol, max_iters)
+    am1 = alpha - 1.0
+    p = q * _clip_pow(1.0 + am1 * (theta - tau), 1.0 / am1)
+    return p, tau
 
 
 # The evalkit functions as they were before the sort-and-count rewrite: one

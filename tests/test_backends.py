@@ -4,46 +4,11 @@ import pytest
 from alphamargin import _fallback, backend
 from alphamargin.errors import SolverError
 
-from conftest import posterior_batch_loop_reference
-
-
-@pytest.mark.skipif(not backend.HAVE_COMPILED, reason="compiled extension not built")
-class TestBackendParity:
-    def test_solve_tau_agrees(self, rng):
-        compiled = backend.get_backend("compiled")
-        python = backend.get_backend("python")
-        for _ in range(100):
-            k = int(rng.integers(2, 80))
-            theta = rng.uniform(-10, 10, k)
-            q = rng.uniform(0.05, 1.0, k)
-            alpha = float(rng.choice([1.1, 1.25, 1.5, 2.0]))
-            t_c = compiled.solve_tau(theta, q, alpha, 1e-10, 200)
-            t_p = python.solve_tau(theta, q, alpha, 1e-10, 200)
-            assert t_c == pytest.approx(t_p, abs=1e-9)
-
-    def test_posterior_batch_agrees(self, rng):
-        compiled = backend.get_backend("compiled")
-        python = backend.get_backend("python")
-        theta = rng.uniform(-8, 8, (32, 40))
-        q = rng.uniform(0.1, 1.0, (32, 40))
-        for alpha in (1.25, 2.0):
-            P_c, tau_c = compiled.posterior_batch(theta, q, alpha, 1e-10, 200)
-            P_p, tau_p = python.posterior_batch(theta, q, alpha, 1e-10, 200)
-            np.testing.assert_allclose(P_c, P_p, atol=1e-9)
-            np.testing.assert_allclose(tau_c, tau_p, atol=1e-9)
-            # identical zero pattern: exact zeros, no epsilon pruning
-            np.testing.assert_array_equal(P_c == 0.0, P_p == 0.0)
-
-    def test_both_raise_on_exhausted_iterations(self):
-        theta = np.array([1.0, 0.9, 0.8])
-        q = np.array([1.0, 1.0, 1.0])
-        for name in ("compiled", "python"):
-            with pytest.raises(SolverError):
-                backend.get_backend(name).solve_tau(theta, q, 1.5, 1e-14, 3)
+from conftest import posterior_bisection_reference
 
 
 def test_active_backend_exposed():
-    assert backend.BACKEND in ("compiled", "python")
+    assert backend.BACKEND == "python"
 
 
 ALPHAS = (1.1, 1.25, 1.5, 2.0, 3.0)
@@ -63,10 +28,13 @@ def _inputs(rng, B, k, measure):
     return theta, q
 
 
-def _bracket(theta, q, alpha):
-    t = int(np.argmax(theta))
-    f_prime = _fallback._f_prime
-    return theta[t] - f_prime(1.0 / q[t], alpha), theta[t] - f_prime(1.0 / q.sum(), alpha)
+def _bisection_loop(theta, q, alpha, tol, max_iters=200):
+    B, k = theta.shape
+    P = np.empty((B, k))
+    taus = np.empty(B)
+    for i in range(B):
+        P[i], taus[i] = posterior_bisection_reference(theta[i], q[i], alpha, tol, max_iters)
+    return P, taus
 
 
 def _raised(fn, *args):
@@ -75,43 +43,73 @@ def _raised(fn, *args):
     return str(info.value)
 
 
+def _first_row_error(theta, q, *args):
+    """The error a loop of one-row calls meets first, named by its batch row."""
+    for i in range(len(theta)):
+        try:
+            _fallback.posterior(theta[i], q[i], *args)
+        except SolverError as exc:
+            return f"row {i}: " + str(exc).removeprefix("row 0: ")
+    raise AssertionError("no row fails")
+
+
 class TestBatchMatchesRowLoop:
-    """The numpy batch solve is bitwise equal to one scalar solve per row."""
+    """The Newton batch solve against a loop of its own one-row calls, which
+    it matches bit for bit, and against the scalar bisection it replaced."""
 
     @pytest.mark.parametrize("measure", MEASURES)
     @pytest.mark.parametrize("alpha", ALPHAS)
-    def test_bitwise_equal_across_block_edges(self, alpha, measure):
+    def test_bitwise_equal_across_block_edges(self, alpha, measure, monkeypatch):
+        # 128-row blocks, so that the batch sizes straddle block edges
+        monkeypatch.setattr(_fallback, "BLOCK_ROWS", 128)
         rng = np.random.default_rng([ALPHAS.index(alpha), MEASURES.index(measure)])
+        # At alpha > 2, p is steep in tau next to a clip, and the bisection's
+        # 1e-10 bracket width leaves its rows up to 6e-8 from summing to 1;
+        # there the oracle runs at 1e-14.
+        ref_tol = 1e-14 if alpha > 2.0 else 1e-10
         for B in (1, 2, 127, 128, 129, 300):
             for k in (2, 3, 200):
                 theta, q = _inputs(rng, B, k, measure)
-                P, taus = _fallback.posterior_batch(theta, q, alpha, 1e-10, 200)
-                P_ref, taus_ref = posterior_batch_loop_reference(theta, q, alpha, 1e-10, 200)
-                assert np.array_equal(P, P_ref), (B, k)
-                assert np.array_equal(taus, taus_ref), (B, k)
+                P, taus = backend.posterior_batch(theta, q, alpha, 1e-10, 200)
+                for i in range(B):
+                    p, tau = backend.posterior(theta[i], q[i], alpha, 1e-10, 200)
+                    assert np.array_equal(p, P[i]) and tau == taus[i], (B, k, i)
+                P_ref, _ = _bisection_loop(theta, q, alpha, ref_tol)
+                assert np.abs(P - P_ref).max() <= 1e-9, (B, k)
+                assert np.array_equal(P == 0.0, P_ref == 0.0), (B, k)
+                assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-11, (B, k)
 
     @pytest.mark.parametrize("alpha", [1.25, 1.5])
     def test_residual_sums_match_to_the_last_bit(self, alpha, monkeypatch):
         # With no width exit and a residual exit of 1e-14, a row stops at the
-        # first mid whose residual is within a few ulps of zero, so the taus
-        # depend on the exact bits of every residual sum on the way.
+        # first iterate whose residual is within a few ulps of zero, so the
+        # taus depend on the exact bits of every residual sum on the way.
         monkeypatch.setattr(_fallback, "RESIDUAL_TOL", 1e-14)
         theta, q = _inputs(np.random.default_rng(17), 300, 200, "random")
         P, taus = _fallback.posterior_batch(theta, q, alpha, 1e-300, 200)
-        P_ref, taus_ref = posterior_batch_loop_reference(theta, q, alpha, 1e-300, 200)
-        assert np.array_equal(P, P_ref)
-        assert np.array_equal(taus, taus_ref)
+        for i in range(300):
+            p, tau = _fallback.posterior(theta[i], q[i], alpha, 1e-300, 200)
+            assert np.array_equal(p, P[i]) and tau == taus[i], i
+
+    @pytest.mark.parametrize("block_rows", [1, 7, 128])
+    def test_rows_do_not_depend_on_the_block_size(self, block_rows, monkeypatch):
+        theta, q = _inputs(np.random.default_rng(5), 300, 200, "random")
+        P, taus = _fallback.posterior_batch(theta, q, 1.25, 1e-10, 200)
+        monkeypatch.setattr(_fallback, "BLOCK_ROWS", block_rows)
+        P_b, taus_b = _fallback.posterior_batch(theta, q, 1.25, 1e-10, 200)
+        assert np.array_equal(P, P_b)
+        assert np.array_equal(taus, taus_b)
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_bracket_end_and_collapsed_bracket_rows(self, alpha):
         rng = np.random.default_rng(7)
         theta, q = _inputs(rng, 129, 200, "random")
-        # one dominant logit clips every other class at lo: exit at lo
+        # one dominant logit clips every other class at lo, where p = e_t
         at_lo = [0, 64, 128]
         theta[at_lo] = -40.0
         theta[at_lo, 5] = 40.0
         # equal logits over a uniform measure of total mass 1: hi = theta_t
-        # and p = q there, so exit at hi
+        # and p = q there
         at_hi = [1, 65]
         theta[at_hi] = 0.3
         q[at_hi] = 1.0 / 200
@@ -121,54 +119,118 @@ class TestBatchMatchesRowLoop:
         q[same, 7] = 1.0
         theta[same, 7] = 100.0
 
-        P, taus = _fallback.posterior_batch(theta, q, alpha, 1e-10, 200)
-        P_ref, taus_ref = posterior_batch_loop_reference(theta, q, alpha, 1e-10, 200)
-        assert np.array_equal(P, P_ref)
-        assert np.array_equal(taus, taus_ref)
-        for i in at_lo:
-            lo, hi = _bracket(theta[i], q[i], alpha)
-            assert taus[i] == lo != hi
-        for i in at_hi:
-            lo, hi = _bracket(theta[i], q[i], alpha)
-            assert taus[i] == hi != lo
-        for i in same:
-            lo, hi = _bracket(theta[i], q[i], alpha)
-            assert taus[i] == lo == hi
+        P, taus = backend.posterior_batch(theta, q, alpha, 1e-10, 200)
+        lo, hi = _fallback._bracket(theta, q, alpha)
+        assert np.array_equal(taus[at_lo], lo[at_lo]) and np.all(lo[at_lo] != hi[at_lo])
+        assert np.abs(P[at_lo] - np.eye(200)[[5, 5, 5]]).max() <= 1e-12
+        assert np.count_nonzero(P[at_lo]) == 3
+        # the width exit may stop up to tol short of hi
+        assert np.abs(taus[at_hi] - hi[at_hi]).max() <= 1e-10
+        assert np.all(lo[at_hi] != hi[at_hi])
+        assert np.abs(P[at_hi] - q[at_hi]).max() <= 1e-12
+        assert np.array_equal(taus[same], lo[same]) and np.array_equal(lo[same], hi[same])
+        assert np.array_equal(P[same, 7], [1.0, 1.0])
 
     @pytest.mark.parametrize("B", [1, 129, 300])
     def test_exhausted_iterations_raise_like_the_loop(self, B):
         theta, q = _inputs(np.random.default_rng(B), B, 200, "random")
-        args = (theta, q, 1.5, 1e-14, 3)
-        expected = _raised(posterior_batch_loop_reference, *args)
-        assert "did not converge" in expected
+        args = (theta, q, 1.5, 1e-14, 2)
+        expected = _first_row_error(*args)
+        assert "did not converge in 2 iterations" in expected
         assert _raised(_fallback.posterior_batch, *args) == expected
 
     def test_single_failing_row_in_a_block(self):
         theta, q = _inputs(np.random.default_rng(11), 300, 200, "q_margin")
-        _fallback.posterior_batch(theta, q, 1.5, 1e-10, 200)
-        # a weight of 1e-300 on the top class of row 200 opens a bracket too
-        # wide for 200 halvings to close
+        # q_t = 1e300 on the top class of row 200 clips every class
+        q[200, theta[200].argmax()] = 1e300
+        expected = _first_row_error(theta, q, 1.5, 1e-10, 200)
+        assert expected.startswith("row 200: posterior sums to 0.0")
+        assert _raised(backend.posterior_batch, theta, q, 1.5, 1e-10, 200) == expected
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            {140: "nan", 150: "slow", 160: "massless"},
+            {140: "slow", 150: "massless", 160: "nan"},
+            {140: "massless", 150: "nan", 160: "slow"},
+            {20: "massless", 290: "nan"},
+            {290: "slow", 299: "nan"},
+        ],
+        ids=["nan-first", "slow-first", "massless-first", "two-blocks", "second-block"],
+    )
+    def test_first_failing_row_decides_the_error(self, rows):
+        # every other row has one dominant logit and exits on its first sweep
+        theta = np.full((300, 200), -40.0)
+        theta[:, 5] = 40.0
+        q = np.ones((300, 200))
+        dense, _ = _inputs(np.random.default_rng(13), 1, 200, "random")
+        for i, kind in rows.items():
+            if kind == "nan":  # a bracket that is not finite
+                theta[i, 9] = np.nan
+            elif kind == "slow":  # needs more than 3 sweeps
+                theta[i] = dense[0] * 0.5
+            else:  # q_t = 1e300 clips every class: the posterior sums to 0
+                q[i, 5] = 1e300
+        expected = _first_row_error(theta, q, 1.5, 1e-10, 3)
+        assert expected.startswith(f"row {min(rows)}: ")
+        reason = {"nan": "not finite", "slow": "did not converge", "massless": "sums to 0.0"}
+        assert reason[rows[min(rows)]] in expected
+        assert _raised(backend.posterior_batch, theta, q, 1.5, 1e-10, 3) == expected
+
+
+class TestExits:
+    @pytest.mark.parametrize("alpha", [1.25, 1.5, 2.0])
+    def test_roots_beyond_the_residual_resolution_stop_at_a_bracket_end(self, alpha):
+        # At logits near 1e4 one ulp of tau moves the residual by more than
+        # RESIDUAL_TOL, and tol = 1e-300 turns the width exit off: rows stop
+        # when the next iterate equals a bracket end, within 1e-9 of the
+        # posterior of the unshifted logits. (At alpha > 2 a class next to its
+        # clip moves p by far more than 1e-9 per ulp of tau there.)
+        theta, q = _inputs(np.random.default_rng(23), 300, 200, "random")
+        P, _ = backend.posterior_batch(theta + 1e4, q, alpha, 1e-300, 200)
+        P_ref, _ = _bisection_loop(theta, q, alpha, 1e-14)
+        off = np.abs(P.sum(axis=1) - 1.0)
+        assert (off > 2 * _fallback.RESIDUAL_TOL).sum() >= 10
+        assert off.max() <= 1e-8
+        assert np.abs(P - P_ref).max() <= 1e-9
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-8])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_width_exit_stops_within_tol_of_the_root(self, alpha, tol, monkeypatch):
+        # no residual exit: rows stop on the bracket width or at a bracket end
+        monkeypatch.setattr(_fallback, "RESIDUAL_TOL", 0.0)
+        monkeypatch.setattr(_fallback, "SUM_TOL", np.inf)
+        theta, q = _inputs(np.random.default_rng(29), 129, 200, "q_margin")
+        _, taus = _fallback.posterior_batch(theta, q, alpha, tol, 200)
+        _, taus_ref = _bisection_loop(theta, q, alpha, 1e-14)
+        assert np.abs(taus - taus_ref).max() <= tol
+
+    @pytest.mark.parametrize("z_root", [1e-10, 1e-11, 1e-12, 1e-13])
+    def test_width_exit_waits_for_a_valid_sum(self, z_root):
+        # At alpha = 3 class 1 sits at z = z_root at the root, so its clip is
+        # inside the last 1e-10 of the bracket, and p_1 = sqrt(z) moves the
+        # sum by ~1e-6 across it: a bracket end there is no answer yet.
+        theta = np.full(50, -50.0)
+        theta[0] = 0.0
+        theta[1] = -((1.0 - np.sqrt(z_root)) ** 2 - z_root) / 2.0
+        p, _ = backend.posterior(theta, np.ones(50), 3.0, 1e-10, 200)
+        assert abs(p.sum() - 1.0) <= 1e-8
+
+    def test_a_top_weight_of_1e_300_converges(self):
+        # The bisection needed ~500 halvings to close this bracket, so it
+        # gave up at 200; Newton leaves the far lower end in a few steps.
+        theta, q = _inputs(np.random.default_rng(11), 300, 200, "q_margin")
         theta[200, 0] = theta[200].max() + 1.0
         q[200, 0] = 1e-300
-        expected = _raised(posterior_batch_loop_reference, theta, q, 1.5, 1e-10, 200)
-        assert "did not converge" in expected
-        assert _raised(_fallback.posterior_batch, theta, q, 1.5, 1e-10, 200) == expected
-
-    @pytest.mark.parametrize("nan_row, reason", [(140, "same sign"), (160, "did not converge")])
-    def test_first_failing_row_decides_the_error(self, nan_row, reason):
-        theta, q = _inputs(np.random.default_rng(13), 300, 200, "random")
-        theta[150, 0] = theta[150].max() + 1.0
-        q[150, 0] = 1e-300
-        # a NaN logit row fails the bracket-sign check
-        theta[nan_row] = np.nan
-        expected = _raised(posterior_batch_loop_reference, theta, q, 1.5, 1e-10, 200)
-        assert reason in expected
-        assert _raised(_fallback.posterior_batch, theta, q, 1.5, 1e-10, 200) == expected
+        P, _ = backend.posterior_batch(theta, q, 1.5, 1e-10, 200)
+        assert abs(P[200].sum() - 1.0) <= 1e-12
+        with pytest.raises(SolverError, match="did not converge"):
+            posterior_bisection_reference(theta[200], q[200], 1.5, 1e-10, 200)
 
 
 def test_batch_row_without_mass_is_a_solver_error():
     # q_t = 1e300 collapses the bracket at a tau where every class is clipped
     theta = np.array([[1.0, 0.5, 0.2], [1.0, 0.5, 0.2]])
     q = np.array([[1.0, 1.0, 1.0], [1e300, 1.0, 1.0]])
-    with pytest.raises(SolverError, match="row 1 sums to 0.0"):
+    with pytest.raises(SolverError, match="row 1: posterior sums to 0.0"):
         backend.posterior_batch(theta, q, 1.5, 1e-10, 200)

@@ -194,6 +194,20 @@ class TestEval:
         assert code == 0
         assert "genuine 2 impostor 2" in (out / "report.txt").read_text()
 
+    def test_dataset_dimension_mismatch_is_data_error(self, tmp_path, dataset_path, capsys):
+        ckpt = self._train(tmp_path, dataset_path, epochs="1")
+        other = _dataset_of_another_dimension(tmp_path)
+        out = tmp_path / "eval"
+        capsys.readouterr()
+        code = run(
+            [
+                "eval", "--checkpoint", str(ckpt), "--dataset", str(other),
+                "--n-genuine", "20", "--n-impostor", "40", "--out-dir", str(out),
+            ]
+        )
+        _assert_dimension_data_error(code, capsys, other)
+        assert not out.exists()
+
     def test_unattainable_far_reported_not_fatal(self, tmp_path, dataset_path):
         ckpt = self._train(tmp_path, dataset_path)
         out = tmp_path / "eval"
@@ -324,7 +338,35 @@ class TestProbe:
         assert run(["probe", "--theta", "1,0", "--alpha", "0.5"]) == 1
 
 
+def _dataset_of_another_dimension(tmp_path):
+    path = tmp_path / "d5.bin"
+    args = ["gen", "--k", "8", "--d", "5", "--samples-per-id", "8", "--noise-kappa", "40.0"]
+    assert run(args + ["--out", str(path)]) == 0
+    return path
+
+
+def _assert_dimension_data_error(code, capsys, dataset):
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("data error: ") and "Traceback" not in err
+    assert f"{dataset}: points are 5-d" in err and "6-d inputs" in err
+
+
 class TestStats:
+    def test_dataset_dimension_mismatch_is_data_error(self, tmp_path, dataset_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "t.ini", dataset_path, out)
+        assert run(["train", str(cfg)]) == 0
+        other = _dataset_of_another_dimension(tmp_path)
+        capsys.readouterr()
+        code = run(
+            [
+                "stats", "--checkpoint", str(out / "checkpoint.bin"),
+                "--dataset", str(other), "--config", str(cfg),
+            ]
+        )
+        _assert_dimension_data_error(code, capsys, other)
+
     def test_json_report(self, tmp_path, dataset_path, capsys):
         out = tmp_path / "run"
         cfg = write_config(tmp_path / "t.ini", dataset_path, out)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alphamargin import backend
 from alphamargin.core import (
     AlphaParams,
     PosteriorDistribution,
@@ -161,6 +162,44 @@ class TestAlphaSoftargmax:
         # clipped: a solver failure, not PosteriorDistribution's ValueError
         with pytest.raises(SolverError, match="sums to 0.0"):
             alpha_softargmax([1.0, 0.5, 0.2], [1e300, 1.0, 1.0], AlphaParams(1.5))
+
+    def test_a_top_weight_of_1e_300_gives_a_valid_posterior(self):
+        # the old bisection's absolute width never closed from tau ~ -2e150
+        p = alpha_softargmax([1.0, 0.5, 0.2], [1e-300, 1.0, 1.0], AlphaParams(1.5)).to_dense()
+        assert abs(p.sum() - 1.0) <= 1e-12
+        assert np.all(p > 0.0)
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha=st.one_of(
+            st.floats(1.0 + 1e-4, 10.0),
+            st.sampled_from([1.0 + 1e-4, 1.25, 1.5, 2.0, 3.0, 10.0]),
+        ),
+        k=st.integers(2, 300),
+        log_scale=st.floats(-3.0, 4.0),
+        q_decades=st.floats(0.0, 600.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_valid_posterior_or_solver_error(self, alpha, k, log_scale, q_decades, seed):
+        # logits of scale 1e-3..1e4 and weights spread over up to 600 decades
+        r = np.random.default_rng(seed)
+        theta = r.uniform(-1.0, 1.0, (3, k)) * 10.0**log_scale
+        q = 10.0 ** r.uniform(-q_decades / 2, q_decades / 2, (3, k))
+        for i in range(3):
+            try:
+                p, tau = backend.posterior(theta[i], q[i], alpha, 1e-10, 200)
+            except SolverError:
+                continue
+            assert np.all(np.isfinite(p)) and np.all(p >= 0.0)
+            assert abs(p.sum() - 1.0) <= 1e-8
+            assert np.all(p[1.0 + (alpha - 1.0) * (theta[i] - tau) <= 0.0] == 0.0)
+        try:
+            P, _ = backend.posterior_batch(theta, q, alpha, 1e-10, 200)
+        except SolverError:
+            return
+        assert np.all(np.isfinite(P)) and np.all(P >= 0.0)
+        assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-8
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from alphamargin.core import AlphaParams
+from alphamargin.core import AlphaParams, divergence
 from alphamargin.losses import (
     AnnealSchedule,
     MarginConfig,
@@ -15,6 +15,7 @@ from alphamargin.losses import (
     batch_posteriors,
     build_q_margin_measure,
     fy_loss,
+    fy_loss_batch,
     q_margin_loss,
 )
 
@@ -62,6 +63,21 @@ class TestMarginConfig:
             # the measure of the geometric-margin modes does not depend on s*m
             MarginConfig(scale=1600.0, margin=0.5, mode="a3m")
 
+    @pytest.mark.filterwarnings("error")
+    def test_q_margin_near_the_normal_range_gives_a_valid_posterior(self):
+        # s*m = 693 puts q_y at 1e-301 and the lower bracket end near -7e75,
+        # which the old bisection's absolute width never closed
+        cfg = MarginConfig(scale=1386.0, margin=0.5, mode="q_margin")
+        a = AlphaParams(1.25)
+        c = np.array([0.3, 0.9, -0.2, 0.5])
+        for y in range(4):
+            out = q_margin_loss(c, y, cfg, a)
+            p = out.posterior.to_dense()
+            assert abs(p.sum() - 1.0) <= 1e-12 and np.isfinite(out.value)
+        C = np.tile(c, (4, 1))
+        values, _, P = batch_loss_and_cosine_grad(C, np.arange(4), cfg, a)
+        assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-12 and np.all(np.isfinite(values))
+
 
 class TestFyLoss:
     def test_worked_example_target_first(self):
@@ -98,6 +114,28 @@ class TestFyLoss:
             k = int(rng.integers(2, 20))
             out = fy_loss(rng.uniform(-5, 5, k), int(rng.integers(k)), rng.uniform(0.1, 1, k), A2)
             assert abs(out.grad_logits.sum()) <= 1e-8
+
+    @pytest.mark.parametrize("alpha", [1.01, 1.1, 1.25, 1.5, 2.0, 3.0])
+    def test_closed_form_value_matches_the_divergences(self, alpha):
+        # the batch value is read off the solve; check it against
+        # <p, theta> - D_f(p:q) + D_f(y:q) - theta_y summed entry by entry
+        r = np.random.default_rng(int(alpha * 100))
+        B, k = 200, 40
+        Theta = r.uniform(-1, 1, (B, k)) * r.choice([0.5, 4.0, 32.0], size=(B, 1))
+        Q = r.uniform(0.05, 2.0, (B, k))
+        ys = r.integers(k, size=B)
+        Q[np.arange(0, B, 2), ys[::2]] = np.exp(-32.0 * 0.3)
+        a = AlphaParams(alpha)
+        values, G, P = fy_loss_batch(Theta, ys, Q, a)
+        for i in range(B):
+            y = np.zeros(k)
+            y[ys[i]] = 1.0
+            ref = (P[i] @ Theta[i] - divergence(P[i], Q[i], a) + divergence(y, Q[i], a)
+                   - Theta[i, ys[i]])
+            assert values[i] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+            assert np.array_equal(G[i], P[i] - y)
+            # the single-vector loss is the one-row batch
+            assert fy_loss(Theta[i], int(ys[i]), Q[i], a).value == values[i]
 
 
 class TestQMarginMeasure:
