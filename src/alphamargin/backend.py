@@ -1,12 +1,174 @@
-"""Entry points of the alpha-softargmax solve; the solver is alphamargin._fallback.
+"""The alpha-softargmax solver: safeguarded Newton on the normalizing shift tau.
 
-Both raise SolverError, naming the row, when a row's solve fails or its
-posterior does not sum to 1 within 1e-8.
+posterior_batch solves (B, k) rows and posterior one row; both raise
+SolverError, naming the row, when a row's solve fails or its posterior does
+not sum to 1 within 1e-8.
+
+For logits theta, reference measure q and alpha > 1 the posterior is
+p_j = q_j * [z_j]_+ ** (1/(alpha-1)) with z_j = 1 + (alpha-1)*(theta_j - tau),
+and tau is the root of S(tau) = sum(p) = 1. Newton runs on
+phi(tau) = S(tau)**(alpha-1) - 1, which is exactly linear while one class
+holds the support, and convex and decreasing for alpha <= 2, so its steps
+from the lower bracket end never overshoot. One power per sweep,
+w = z ** (1/(alpha-1) - 1), gives both S = sum(q*w*z) and S' = -sum(q*w).
+
+The bracket [lo, hi] = [theta_t - f'(1/q_t), theta_t - f'(1/sum(q))] for
+t = argmax theta is kept, and a step that leaves it is replaced by a
+bisection step (alpha > 2 makes phi concave near the root).
+
+Each row is summed on its own, in column order, with the same operations
+whatever the other rows of the batch are, so a row of `posterior_batch` is
+bitwise the one-row solve of the same inputs.
 """
 
-from ._fallback import posterior, posterior_batch
+import numpy as np
+
+from .errors import SolverError
 
 # Recorded by the benchmark and printed by `alphamargin --backend-info`.
 BACKEND = "python"
 
-__all__ = ["BACKEND", "posterior", "posterior_batch"]
+# Stop as soon as the residual is this close to zero, even if the bracket
+# is still wider than the width tolerance.
+RESIDUAL_TOL = 1e-12
+
+# A posterior row must sum to 1 within this.
+SUM_TOL = 1e-8
+
+# Rows solved together by posterior_batch; bounds its (rows, k) temporaries.
+BLOCK_ROWS = 256
+
+
+def _weights(z, q, e):
+    """(q*w, q*w*z) with w = z**e where z > 0 and 0 where z <= 0."""
+    zp = np.maximum(z, 0.0)
+    if e == 0.0:  # alpha = 2; 0**0 would be 1
+        qw = np.where(z > 0.0, q, 0.0)
+    elif e == 3.0:  # alpha = 1.25, two products in place of a power
+        qw = q * (zp * zp * zp)
+    elif e > 0.0:
+        qw = q * zp**e
+    else:  # alpha > 2: a negative power of the clipped zeros would be inf
+        pos = z > 0.0
+        qw = np.where(pos, q * np.where(pos, z, 1.0) ** e, 0.0)
+    return qw, qw * zp
+
+
+def _bracket(theta, q, alpha):
+    """[theta_t - f'(1/q_t), theta_t - f'(1/sum(q))] per row, t = argmax theta."""
+    am1 = alpha - 1.0
+    t = (np.arange(len(theta)), np.argmax(theta, axis=1))
+    # f'(u) = (u**(alpha-1) - 1)/(alpha-1), as expm1 so that alpha -> 1 keeps its digits
+    lo = theta[t] - np.expm1(-am1 * np.log(q[t])) / am1
+    hi = theta[t] - np.expm1(-am1 * np.log(q.sum(axis=1))) / am1
+    return lo, hi
+
+
+def _solve_block(theta, q, alpha, tol, max_iters, P, taus):
+    """Solve the rows of a C-contiguous (b, k) block into P (zeroed) and taus.
+
+    Returns {row: message} for the rows that fail: a bracket that is not
+    finite, max_iters sweeps without an exit, or a posterior that does not sum
+    to 1 within SUM_TOL at the exit (at alpha > 2 a class near its clip can
+    hold more mass than any double tau resolves). A sweep at tau sums only
+    the row's candidate columns, those with z > 0 at its lower bracket end:
+    tau never falls below it, so every other column stays clipped.
+    """
+    am1 = alpha - 1.0
+    e = 1.0 / am1 - 1.0
+    b, k = theta.shape
+    lo, hi = _bracket(theta, q, alpha)
+    live = np.isfinite(lo) & np.isfinite(hi)
+    errors = {
+        int(i): f"bracket [{float(lo[i])!r}, {float(hi[i])!r}] is not finite "
+        "(logits or reference measure out of the solver's range)"
+        for i in np.flatnonzero(~live)
+    }
+    tau = lo
+    crow, col = np.nonzero((1.0 + am1 * (theta - lo[:, None]) > 0.0) & live[:, None])
+    at = crow * k + col
+    th_c = theta.reshape(-1)[at]
+    q_c = q.reshape(-1)[at]
+    P_flat = P.reshape(-1)
+
+    for _ in range(max_iters):
+        z = 1.0 + am1 * (th_c - tau[crow])
+        qw, qwz = _weights(z, q_c, e)
+        S = np.bincount(crow, qwz, b)
+        r = S - 1.0
+        up = r > 0.0
+        lo = np.where(up, tau, lo)
+        hi = np.where(up, hi, tau)
+        # tau - phi/phi' with phi' = -(alpha-1) * S**(alpha-2) * sum(q*w)
+        newton = tau + (S - S ** (2.0 - alpha)) / (am1 * np.bincount(crow, qw, b))
+        dev = np.abs(r)
+        done = live & (
+            (dev <= RESIDUAL_TOL)
+            # a narrow bracket ends the solve once its posterior is valid
+            | ((hi - lo <= tol) & (dev <= SUM_TOL))
+            | (newton == tau)  # the step is below half an ulp of tau
+            | (np.nextafter(lo, hi) == hi)  # no double inside the bracket
+        )
+        if np.count_nonzero(done):
+            fin = done[crow]
+            P_flat[at[fin]] = qwz[fin]
+            taus[done] = tau[done]
+            live &= ~done
+            if not np.count_nonzero(live):
+                break
+            # drop the finished rows, and the columns clipped at a new lower end
+            keep = np.flatnonzero(~fin & ((z > 0.0) | ~up[crow]))
+            crow, at, th_c, q_c = crow[keep], at[keep], th_c[keep], q_c[keep]
+        tau = np.where((lo < newton) & (newton <= hi), newton, 0.5 * (lo + hi))
+    else:
+        for i in np.flatnonzero(live):
+            errors[int(i)] = (
+                f"solver did not converge in {max_iters} iterations (bracket width "
+                f"{hi[i] - lo[i]:.3e}, tol {tol:.3e}, posterior sum {S[i]!r})"
+            )
+
+    totals = P.sum(axis=1)
+    for i in np.flatnonzero(~(np.abs(totals - 1.0) <= SUM_TOL)):
+        errors.setdefault(
+            int(i),
+            f"posterior sums to {float(totals[i])!r}, not 1: no double tau normalizes it "
+            "(logits or reference measure out of the solver's range)",
+        )
+    return errors
+
+
+def _solve(theta, q, alpha, tol, max_iters):
+    """Row-wise alpha-softargmax of (B, k) theta and q. Returns (P, taus).
+
+    Raises SolverError for the first failing row, naming it. posterior and
+    posterior_batch both call this, never each other, so that a wrapper
+    around one of them sees none of the other's calls.
+    """
+    theta = np.ascontiguousarray(theta, dtype=np.float64)
+    q = np.ascontiguousarray(q, dtype=np.float64)
+    B, k = theta.shape
+    P = np.zeros((B, k))
+    taus = np.empty(B)
+    # non-finite sums and steps are caught by the bracket and step checks
+    with np.errstate(all="ignore"):
+        for start in range(0, B, BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            errors = _solve_block(theta[rows], q[rows], alpha, tol, max_iters, P[rows], taus[rows])
+            if errors:
+                row = min(errors)
+                raise SolverError(f"row {start + row}: {errors[row]}")
+    return P, taus
+
+
+def posterior_batch(theta, q, alpha, tol, max_iters):
+    """Row-wise alpha-softargmax. theta and q are (B, k). Returns (P, taus)."""
+    return _solve(theta, q, alpha, tol, max_iters)
+
+
+def posterior(theta, q, alpha, tol, max_iters):
+    """Dense alpha-softargmax of one logit vector. Returns (p, tau).
+
+    The one-row batch, so bitwise its row.
+    """
+    P, taus = _solve(np.reshape(theta, (1, -1)), np.reshape(q, (1, -1)), alpha, tol, max_iters)
+    return P[0], taus[0]

@@ -15,7 +15,14 @@ from pathlib import Path
 import numpy as np
 
 from . import evalkit, synthdata, trainer
-from .core import AlphaParams, alpha_softmax
+from .core import (
+    AlphaParams,
+    _check_logits,
+    _check_measure,
+    alpha_softargmax,
+    alpha_softmax,
+    root_find_tau,
+)
 from .errors import DataFormatError, SolverError, UnattainableFARError
 from .losses import AnnealSchedule, MarginConfig, fy_loss
 from . import backend
@@ -257,26 +264,20 @@ def cmd_eval(args):
 
 
 def cmd_probe(args):
-    theta = np.array([float(x) for x in args.theta.split(",")])
-    q = (
-        np.array([float(x) for x in args.q.split(",")])
-        if args.q
-        else np.ones_like(theta)
-    )
     try:
+        theta = np.array([float(x) for x in args.theta.split(",")])
+        q = np.array([float(x) for x in args.q.split(",")]) if args.q else np.ones_like(theta)
         params = AlphaParams(alpha=args.alpha)
-    except ValueError as exc:
+        theta = _check_logits(theta, args.target)
+        q = _check_measure(q, k=theta.shape[0])
+    except (ValueError, IndexError) as exc:
         raise UsageError(str(exc)) from exc
     if args.target is not None:
         out = fy_loss(theta, args.target, q, params)
         posterior = out.posterior
         print(f"loss      {out.value!r}")
     else:
-        from .core import alpha_softargmax
-
         posterior = alpha_softargmax(theta, q, params)
-    from .core import root_find_tau
-
     print(f"tau       {root_find_tau(theta, q, params)!r}")
     print(f"posterior {np.array2string(posterior.to_dense(), precision=8)}")
     print(f"softmax_f {alpha_softmax(theta, q, params)!r}")

@@ -95,10 +95,13 @@ class PosteriorDistribution:
         return float(self.probs[hit[0]]) if len(hit) else 0.0
 
 
-def _check_logits(theta):
+def _check_logits(theta, y=None):
+    """The one check of a logit (or cosine) row and, if given, its class index."""
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim != 1 or theta.shape[0] < 2:
         raise ValueError("logits must be a 1-D vector with k >= 2")
+    if y is not None and not 0 <= y < theta.shape[0]:
+        raise IndexError(f"class index {y} out of range for k={theta.shape[0]}")
     if not np.all(np.isfinite(theta)):
         raise ValueError("logits must be finite")
     return theta
@@ -155,6 +158,14 @@ def divergence(p, q, params):
     return float(np.sum(q * f_value(p / q, params)))
 
 
+def _solve_row(theta, q, params, y=None):
+    """Checked one-row solve behind every single-vector call: (theta, q, p, tau)."""
+    theta = _check_logits(theta, y)
+    q = _check_measure(q, k=theta.shape[0])
+    p, tau = backend.posterior(theta, q, params.alpha, params.bisect_tol, params.max_iters)
+    return theta, q, p, tau
+
+
 def root_find_tau(theta, q, params):
     """Normalizing shift tau* solving sum_j q_j * f_conj_prime(theta_j - tau) = 1.
 
@@ -163,23 +174,15 @@ def root_find_tau(theta, q, params):
     bracket is not finite, the posterior at tau does not sum to 1, or
     max_iters sweeps end before the solve converges.
     """
-    theta = _check_logits(theta)
-    q = _check_measure(q, k=theta.shape[0])
-    _, tau = backend.posterior(theta, q, params.alpha, params.bisect_tol, params.max_iters)
-    return float(tau)
+    return float(_solve_row(theta, q, params)[3])
 
 
 def alpha_softargmax(theta, q, params):
     """Sparse posterior p_j = q_j * [1 + (a-1)*(theta_j - tau*)]_+ ** (1/(a-1))."""
-    theta = _check_logits(theta)
-    q = _check_measure(q, k=theta.shape[0])
-    p, _ = backend.posterior(theta, q, params.alpha, params.bisect_tol, params.max_iters)
-    return PosteriorDistribution.from_dense(p)
+    return PosteriorDistribution.from_dense(_solve_row(theta, q, params)[2])
 
 
 def alpha_softmax(theta, q, params):
     """Value of the regularized maximization: <p*, theta> - D_f(p* : q)."""
-    theta = _check_logits(theta)
-    q = _check_measure(q, k=theta.shape[0])
-    p, _ = backend.posterior(theta, q, params.alpha, params.bisect_tol, params.max_iters)
+    theta, q, p, _ = _solve_row(theta, q, params)
     return float(p @ theta - divergence(p, q, params))

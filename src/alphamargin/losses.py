@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from . import backend
-from .core import PosteriorDistribution, _check_measure
+from .core import PosteriorDistribution, _check_logits, _solve_row
 
 MODES = ("q_margin", "a3m", "cosface", "arcface")
 
@@ -66,12 +66,43 @@ class LossOutput:
     posterior: PosteriorDistribution
 
 
-def one_hot(y, k):
-    if not 0 <= y < k:
-        raise IndexError(f"class index {y} out of range for k={k}")
-    e = np.zeros(k)
-    e[y] = 1.0
-    return e
+def margin_logits(C, ys, cfg):
+    """Logits Theta (B, k) and reference measure Q of the mode at cosines C (B, k).
+
+    Theta is s * C with the target cosine of each row moved by the mode's
+    margin: c_y - m for cosface, cos(arccos(c_y) + m) for a3m and arcface,
+    unmoved for q_margin. Q is the q_margin measure (target weight
+    exp(-s*m), others 1), ones for a3m and None for the cross-entropy modes.
+    """
+    C = np.asarray(C, dtype=np.float64)
+    target = (np.arange(C.shape[0]), np.asarray(ys))
+    Theta = cfg.scale * C
+    if cfg.mode == "cosface":
+        Theta[target] = cfg.scale * (C[target] - cfg.margin)
+    elif cfg.mode in ("a3m", "arcface"):
+        cy = np.clip(C[target], -1.0 + _ACOS_EPS, 1.0 - _ACOS_EPS)
+        Theta[target] = cfg.scale * np.cos(np.arccos(cy) + cfg.margin)
+    if cfg.mode in ("cosface", "arcface"):
+        return Theta, None
+    Q = np.ones_like(Theta)
+    if cfg.mode == "q_margin":
+        Q[target] = np.exp(-cfg.scale * cfg.margin)
+    return Theta, Q
+
+
+def _minus_targets(P, ys):
+    """P - Y for the one-hot rows Y of ys: either loss's gradient in its logits."""
+    G = P.copy()
+    G[np.arange(len(ys)), ys] -= 1.0
+    return G
+
+
+def _ce_rows(Theta, ys):
+    """Cross-entropy values (B,) and softargmax posteriors (B, k) of logit rows."""
+    Z = Theta - Theta.max(axis=1, keepdims=True)
+    E = np.exp(Z)
+    S = E.sum(axis=1)
+    return np.log(S) - Z[np.arange(len(ys)), ys], E / S[:, None]
 
 
 def _fy_values(Theta, ys, Q, P, taus, alpha):
@@ -95,14 +126,12 @@ def fy_loss(theta, y, q, params):
 
     The one-row case of fy_loss_batch.
     """
-    theta = np.asarray(theta, dtype=np.float64)
-    yv = one_hot(y, theta.shape[0])
-    q = _check_measure(q, k=theta.shape[0])
-    p, tau = backend.posterior(theta, q, params.alpha, params.bisect_tol, params.max_iters)
-    value = _fy_values(theta[None], [y], q[None], p[None], np.array([tau]), params.alpha)[0]
+    theta, q, p, tau = _solve_row(theta, q, params, y)
+    P = p[None]
+    value = _fy_values(theta[None], [y], q[None], P, np.array([tau]), params.alpha)[0]
     return LossOutput(
         value=float(value),
-        grad_logits=p - yv,
+        grad_logits=_minus_targets(P, [y])[0],
         posterior=PosteriorDistribution.from_dense(p),
     )
 
@@ -115,38 +144,7 @@ def fy_loss_batch(Theta, ys, Q, params):
     P, taus = backend.posterior_batch(
         Theta, Q, params.alpha, params.bisect_tol, params.max_iters
     )
-    G = P.copy()
-    G[np.arange(len(ys)), ys] -= 1.0
-    return _fy_values(Theta, ys, Q, P, taus, params.alpha), G, P
-
-
-def build_q_margin_measure(y, k, cfg):
-    """Reference measure with the target prior down-weighted to exp(-s*m)."""
-    q = np.ones(k)
-    q[y] = np.exp(-cfg.scale * cfg.margin)
-    return q
-
-
-def q_margin_measure_batch(ys, k, cfg):
-    B = len(ys)
-    Q = np.ones((B, k))
-    Q[np.arange(B), ys] = np.exp(-cfg.scale * cfg.margin)
-    return Q
-
-
-def apply_cosface_margin(c, y, m):
-    """Additive margin in cosine space: c'_y = c_y - m."""
-    c = np.array(c, dtype=np.float64)
-    c[y] = c[y] - m
-    return c
-
-
-def apply_arcface_margin(c, y, m):
-    """Additive angular margin: c'_y = cos(arccos(c_y) + m)."""
-    c = np.array(c, dtype=np.float64)
-    cy = np.clip(c[y], -1.0 + _ACOS_EPS, 1.0 - _ACOS_EPS)
-    c[y] = np.cos(np.arccos(cy) + m)
-    return c
+    return _fy_values(Theta, ys, Q, P, taus, params.alpha), _minus_targets(P, ys), P
 
 
 def arcface_margin_derivative(cy, m):
@@ -156,78 +154,44 @@ def arcface_margin_derivative(cy, m):
     return np.sin(psi + m) / np.sin(psi)
 
 
+def _margin_row(c, y, cfg, modes):
+    """margin_logits of one checked cosine row c with target y, for the given modes."""
+    if cfg.mode not in modes:
+        raise ValueError(f"expected mode {' or '.join(map(repr, modes))}, got {cfg.mode!r}")
+    Theta, Q = margin_logits(_check_logits(c, y)[None], [y], cfg)
+    return Theta[0], None if Q is None else Q[0]
+
+
 def q_margin_loss(c, y, cfg, params):
     """Margin in the reference measure: fy_loss(s*c, y, q_margin measure)."""
-    if cfg.mode != "q_margin":
-        raise ValueError(f"expected mode 'q_margin', got {cfg.mode!r}")
-    c = np.asarray(c, dtype=np.float64)
-    theta = cfg.scale * c
-    q = build_q_margin_measure(y, c.shape[0], cfg)
+    theta, q = _margin_row(c, y, cfg, ("q_margin",))
     return fy_loss(theta, y, q, params)
 
 
 def a3m_loss(c, y, cfg, params):
     """Geometric angular margin on the logits with a uniform reference measure."""
-    if cfg.mode != "a3m":
-        raise ValueError(f"expected mode 'a3m', got {cfg.mode!r}")
-    c = np.asarray(c, dtype=np.float64)
-    theta = cfg.scale * apply_arcface_margin(c, y, cfg.margin)
-    return fy_loss(theta, y, np.ones(c.shape[0]), params)
-
-
-def _softargmax(Theta):
-    Z = Theta - Theta.max(axis=-1, keepdims=True)
-    E = np.exp(Z)
-    return E / E.sum(axis=-1, keepdims=True)
+    theta, q = _margin_row(c, y, cfg, ("a3m",))
+    return fy_loss(theta, y, q, params)
 
 
 def baseline_ce_loss(c, y, cfg):
     """CosFace/ArcFace cross-entropy over softargmax of margin-modified cosines."""
-    if cfg.mode not in ("cosface", "arcface"):
-        raise ValueError(f"expected a baseline mode, got {cfg.mode!r}")
-    c = np.asarray(c, dtype=np.float64)
-    if cfg.mode == "cosface":
-        cm = apply_cosface_margin(c, y, cfg.margin)
-    else:
-        cm = apply_arcface_margin(c, y, cfg.margin)
-    theta = cfg.scale * cm
-    p = _softargmax(theta)
-    z = theta - theta.max()
-    value = float(np.log(np.exp(z).sum()) - z[y])
-    yv = one_hot(y, c.shape[0])
+    theta, _ = _margin_row(c, y, cfg, ("cosface", "arcface"))
+    values, P = _ce_rows(theta[None], [y])
     return LossOutput(
-        value=value,
-        grad_logits=p - yv,
-        posterior=PosteriorDistribution.from_dense(p),
+        value=float(values[0]),
+        grad_logits=_minus_targets(P, [y])[0],
+        posterior=PosteriorDistribution.from_dense(P[0]),
     )
-
-
-def margin_cosines_batch(C, ys, cfg):
-    """Apply the mode's margin transform to the target column of C (B, k)."""
-    C = np.array(C, dtype=np.float64)
-    rows = np.arange(C.shape[0])
-    if cfg.mode == "cosface":
-        C[rows, ys] -= cfg.margin
-    elif cfg.mode in ("a3m", "arcface"):
-        cy = np.clip(C[rows, ys], -1.0 + _ACOS_EPS, 1.0 - _ACOS_EPS)
-        C[rows, ys] = np.cos(np.arccos(cy) + cfg.margin)
-    # q_margin keeps the cosines untouched; the margin lives in q
-    return C
 
 
 def batch_posteriors(C, ys, cfg, params):
     """Posterior matrix (B, k) for the configured loss at cosine matrix C."""
     ys = np.asarray(ys)
-    Theta = cfg.scale * margin_cosines_batch(C, ys, cfg)
-    if cfg.mode in ("cosface", "arcface"):
-        return _softargmax(Theta)
-    if cfg.mode == "q_margin":
-        Q = q_margin_measure_batch(ys, C.shape[1], cfg)
-    else:
-        Q = np.ones_like(Theta)
-    P, _ = backend.posterior_batch(
-        np.ascontiguousarray(Theta), Q, params.alpha, params.bisect_tol, params.max_iters
-    )
+    Theta, Q = margin_logits(C, ys, cfg)
+    if Q is None:
+        return _ce_rows(Theta, ys)[1]
+    P, _ = backend.posterior_batch(Theta, Q, params.alpha, params.bisect_tol, params.max_iters)
     return P
 
 
@@ -240,24 +204,15 @@ def batch_loss_and_cosine_grad(C, ys, cfg, params):
     """
     C = np.asarray(C, dtype=np.float64)
     ys = np.asarray(ys)
-    B, k = C.shape
-    rows = np.arange(B)
-    Theta = cfg.scale * margin_cosines_batch(C, ys, cfg)
-
-    if cfg.mode in ("cosface", "arcface"):
-        P = _softargmax(Theta)
-        Z = Theta - Theta.max(axis=1, keepdims=True)
-        values = np.log(np.exp(Z).sum(axis=1)) - Z[rows, ys]
-        G = P.copy()
-        G[rows, ys] -= 1.0
+    Theta, Q = margin_logits(C, ys, cfg)
+    if Q is None:
+        values, P = _ce_rows(Theta, ys)
+        G = _minus_targets(P, ys)
     else:
-        if cfg.mode == "q_margin":
-            Q = q_margin_measure_batch(ys, k, cfg)
-        else:
-            Q = np.ones_like(Theta)
         values, G, P = fy_loss_batch(Theta, ys, Q, params)
 
     dC = cfg.scale * G
     if cfg.mode in ("a3m", "arcface"):
+        rows = np.arange(len(ys))
         dC[rows, ys] *= arcface_margin_derivative(C[rows, ys], cfg.margin)
     return values, dC, P

@@ -190,19 +190,18 @@ def test_criterion_4_gradient_audits(capsys):
                     from alphamargin.losses import fy_loss
                     return fy_loss(theta, y, q, params).value
             elif mode == "a3m":
-                from alphamargin.losses import apply_arcface_margin
+                from alphamargin.losses import margin_logits
                 out = a3m_loss(c, y, cfg, params)
-                theta0 = cfg.scale * apply_arcface_margin(c, y, cfg.margin)
+                theta0 = margin_logits([c], [y], cfg)[0][0]
                 q = np.ones(k)
 
                 def value_at(theta, y=y, q=q, params=params):
                     from alphamargin.losses import fy_loss
                     return fy_loss(theta, y, q, params).value
             else:
-                from alphamargin.losses import apply_arcface_margin, apply_cosface_margin
+                from alphamargin.losses import margin_logits
                 out = baseline_ce_loss(c, y, cfg)
-                fn = apply_cosface_margin if mode == "cosface" else apply_arcface_margin
-                theta0 = cfg.scale * fn(c, y, cfg.margin)
+                theta0 = margin_logits([c], [y], cfg)[0][0]
 
                 def value_at(theta, y=y):
                     z = theta - theta.max()

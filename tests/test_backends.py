@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from alphamargin import _fallback, backend
+from alphamargin import backend
 from alphamargin.errors import SolverError
 
 from conftest import posterior_bisection_reference
@@ -47,7 +47,7 @@ def _first_row_error(theta, q, *args):
     """The error a loop of one-row calls meets first, named by its batch row."""
     for i in range(len(theta)):
         try:
-            _fallback.posterior(theta[i], q[i], *args)
+            backend.posterior(theta[i], q[i], *args)
         except SolverError as exc:
             return f"row {i}: " + str(exc).removeprefix("row 0: ")
     raise AssertionError("no row fails")
@@ -61,7 +61,7 @@ class TestBatchMatchesRowLoop:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_bitwise_equal_across_block_edges(self, alpha, measure, monkeypatch):
         # 128-row blocks, so that the batch sizes straddle block edges
-        monkeypatch.setattr(_fallback, "BLOCK_ROWS", 128)
+        monkeypatch.setattr(backend, "BLOCK_ROWS", 128)
         rng = np.random.default_rng([ALPHAS.index(alpha), MEASURES.index(measure)])
         # At alpha > 2, p is steep in tau next to a clip, and the bisection's
         # 1e-10 bracket width leaves its rows up to 6e-8 from summing to 1;
@@ -84,19 +84,19 @@ class TestBatchMatchesRowLoop:
         # With no width exit and a residual exit of 1e-14, a row stops at the
         # first iterate whose residual is within a few ulps of zero, so the
         # taus depend on the exact bits of every residual sum on the way.
-        monkeypatch.setattr(_fallback, "RESIDUAL_TOL", 1e-14)
+        monkeypatch.setattr(backend, "RESIDUAL_TOL", 1e-14)
         theta, q = _inputs(np.random.default_rng(17), 300, 200, "random")
-        P, taus = _fallback.posterior_batch(theta, q, alpha, 1e-300, 200)
+        P, taus = backend.posterior_batch(theta, q, alpha, 1e-300, 200)
         for i in range(300):
-            p, tau = _fallback.posterior(theta[i], q[i], alpha, 1e-300, 200)
+            p, tau = backend.posterior(theta[i], q[i], alpha, 1e-300, 200)
             assert np.array_equal(p, P[i]) and tau == taus[i], i
 
     @pytest.mark.parametrize("block_rows", [1, 7, 128])
     def test_rows_do_not_depend_on_the_block_size(self, block_rows, monkeypatch):
         theta, q = _inputs(np.random.default_rng(5), 300, 200, "random")
-        P, taus = _fallback.posterior_batch(theta, q, 1.25, 1e-10, 200)
-        monkeypatch.setattr(_fallback, "BLOCK_ROWS", block_rows)
-        P_b, taus_b = _fallback.posterior_batch(theta, q, 1.25, 1e-10, 200)
+        P, taus = backend.posterior_batch(theta, q, 1.25, 1e-10, 200)
+        monkeypatch.setattr(backend, "BLOCK_ROWS", block_rows)
+        P_b, taus_b = backend.posterior_batch(theta, q, 1.25, 1e-10, 200)
         assert np.array_equal(P, P_b)
         assert np.array_equal(taus, taus_b)
 
@@ -120,7 +120,7 @@ class TestBatchMatchesRowLoop:
         theta[same, 7] = 100.0
 
         P, taus = backend.posterior_batch(theta, q, alpha, 1e-10, 200)
-        lo, hi = _fallback._bracket(theta, q, alpha)
+        lo, hi = backend._bracket(theta, q, alpha)
         assert np.array_equal(taus[at_lo], lo[at_lo]) and np.all(lo[at_lo] != hi[at_lo])
         assert np.abs(P[at_lo] - np.eye(200)[[5, 5, 5]]).max() <= 1e-12
         assert np.count_nonzero(P[at_lo]) == 3
@@ -137,7 +137,7 @@ class TestBatchMatchesRowLoop:
         args = (theta, q, 1.5, 1e-14, 2)
         expected = _first_row_error(*args)
         assert "did not converge in 2 iterations" in expected
-        assert _raised(_fallback.posterior_batch, *args) == expected
+        assert _raised(backend.posterior_batch, *args) == expected
 
     def test_single_failing_row_in_a_block(self):
         theta, q = _inputs(np.random.default_rng(11), 300, 200, "q_margin")
@@ -190,7 +190,7 @@ class TestExits:
         P, _ = backend.posterior_batch(theta + 1e4, q, alpha, 1e-300, 200)
         P_ref, _ = _bisection_loop(theta, q, alpha, 1e-14)
         off = np.abs(P.sum(axis=1) - 1.0)
-        assert (off > 2 * _fallback.RESIDUAL_TOL).sum() >= 10
+        assert (off > 2 * backend.RESIDUAL_TOL).sum() >= 10
         assert off.max() <= 1e-8
         assert np.abs(P - P_ref).max() <= 1e-9
 
@@ -198,10 +198,10 @@ class TestExits:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_width_exit_stops_within_tol_of_the_root(self, alpha, tol, monkeypatch):
         # no residual exit: rows stop on the bracket width or at a bracket end
-        monkeypatch.setattr(_fallback, "RESIDUAL_TOL", 0.0)
-        monkeypatch.setattr(_fallback, "SUM_TOL", np.inf)
+        monkeypatch.setattr(backend, "RESIDUAL_TOL", 0.0)
+        monkeypatch.setattr(backend, "SUM_TOL", np.inf)
         theta, q = _inputs(np.random.default_rng(29), 129, 200, "q_margin")
-        _, taus = _fallback.posterior_batch(theta, q, alpha, tol, 200)
+        _, taus = backend.posterior_batch(theta, q, alpha, tol, 200)
         _, taus_ref = _bisection_loop(theta, q, alpha, 1e-14)
         assert np.abs(taus - taus_ref).max() <= tol
 

@@ -337,6 +337,28 @@ class TestProbe:
     def test_bad_alpha_usage_error(self, capsys):
         assert run(["probe", "--theta", "1,0", "--alpha", "0.5"]) == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--theta", "1,abc"],
+            ["--theta", "1,0", "--q", "1,abc"],
+            ["--theta", "1"],
+            ["--theta", "1,nan"],
+            ["--theta", "1,inf"],
+            ["--theta", "1,0", "--q", "1,0"],
+            ["--theta", "1,0", "--q", "1,-2"],
+            ["--theta", "1,0", "--q", "1,1,1"],
+            ["--theta", "1,0", "--target", "5"],
+            ["--theta", "1,nan", "--target", "0"],
+        ],
+        ids=["theta-text", "q-text", "one-logit", "nan", "inf", "q-zero", "q-negative",
+             "q-length", "target-range", "nan-with-target"],
+    )
+    def test_malformed_input_is_a_usage_error(self, args, capsys):
+        assert run(["probe", "--alpha", "1.5"] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "Traceback" not in err
+
 
 def _dataset_of_another_dimension(tmp_path):
     path = tmp_path / "d5.bin"

@@ -8,14 +8,12 @@ from alphamargin.losses import (
     AnnealSchedule,
     MarginConfig,
     a3m_loss,
-    apply_arcface_margin,
-    apply_cosface_margin,
     baseline_ce_loss,
     batch_loss_and_cosine_grad,
     batch_posteriors,
-    build_q_margin_measure,
     fy_loss,
     fy_loss_batch,
+    margin_logits,
     q_margin_loss,
 )
 
@@ -27,6 +25,12 @@ from conftest import (
 )
 
 A2 = AlphaParams(2.0)
+
+
+def one_row(c, y, cfg):
+    """margin_logits of one cosine row: (theta, q), q None for the CE modes."""
+    Theta, Q = margin_logits([c], [y], cfg)
+    return Theta[0], None if Q is None else Q[0]
 
 
 def brute_force_softmax_f(theta, q, alpha, grid=2_000_001):
@@ -59,7 +63,7 @@ class TestMarginConfig:
             with pytest.raises(ValueError):
                 MarginConfig(scale=1416.8, margin=0.5, mode="q_margin")
             cfg = MarginConfig(scale=1416.0, margin=0.5, mode="q_margin")
-            assert build_q_margin_measure(0, 2, cfg)[0] >= np.finfo(np.float64).tiny
+            assert one_row([0.5, 0.1], 0, cfg)[1][0] >= np.finfo(np.float64).tiny
             # the measure of the geometric-margin modes does not depend on s*m
             MarginConfig(scale=1600.0, margin=0.5, mode="a3m")
 
@@ -99,6 +103,33 @@ class TestFyLoss:
     def test_index_error(self):
         with pytest.raises(IndexError):
             fy_loss([0.5, 0.0], 2, [1.0, 1.0], A2)
+
+    @pytest.mark.parametrize(
+        "c, y, error, message",
+        [
+            ([0.5], 0, ValueError, "logits must be a 1-D vector with k >= 2"),
+            ([0.5, 0.1], 2, IndexError, "class index 2 out of range for k=2"),
+            ([0.5, 0.1], -1, IndexError, "class index -1 out of range for k=2"),
+            ([0.5, np.nan], 0, ValueError, "logits must be finite"),
+        ],
+        ids=["k=1", "y=k", "y=-1", "nan"],
+    )
+    def test_scalar_losses_reject_a_bad_row_alike(self, c, y, error, message):
+        # one check of the (c, y) row, before any indexing, for every scalar loss
+        losses = {
+            "fy_loss": lambda: fy_loss(c, y, np.ones(len(c)), A2),
+            "q_margin_loss": lambda: q_margin_loss(
+                c, y, MarginConfig(scale=4.0, margin=0.2, mode="q_margin"), A2
+            ),
+            "a3m_loss": lambda: a3m_loss(c, y, MarginConfig(scale=4.0, margin=0.2, mode="a3m"), A2),
+            "baseline_ce_loss": lambda: baseline_ce_loss(
+                c, y, MarginConfig(scale=4.0, margin=0.2, mode="cosface")
+            ),
+        }
+        for name, call in losses.items():
+            with pytest.raises(Exception) as info:
+                call()
+            assert (type(info.value), str(info.value)) == (error, message), name
 
     def test_nonnegative_random(self, rng):
         for _ in range(200):
@@ -140,15 +171,15 @@ class TestFyLoss:
 
 class TestQMarginMeasure:
     def test_face_style_hyperparameters(self):
-        q = build_q_margin_measure(1, 3, MarginConfig(scale=32, margin=0.2, mode="q_margin"))
+        _, q = one_row(np.zeros(3), 1, MarginConfig(scale=32, margin=0.2, mode="q_margin"))
         np.testing.assert_allclose(q, [1.0, np.exp(-6.4), 1.0])
 
     def test_margin_off(self):
-        q = build_q_margin_measure(0, 4, MarginConfig(scale=32, margin=0.0, mode="q_margin"))
+        _, q = one_row(np.zeros(4), 0, MarginConfig(scale=32, margin=0.0, mode="q_margin"))
         np.testing.assert_array_equal(q, np.ones(4))
 
     def test_speaker_style_hyperparameters(self):
-        q = build_q_margin_measure(0, 2, MarginConfig(scale=10, margin=0.1, mode="q_margin"))
+        _, q = one_row(np.zeros(2), 0, MarginConfig(scale=10, margin=0.1, mode="q_margin"))
         np.testing.assert_allclose(q, [np.exp(-1.0), 1.0])
 
 
@@ -184,15 +215,15 @@ class TestQMarginLoss:
             if i not in wide_gap:
                 continue
             cfg = MarginConfig(scale=s, margin=m, mode="q_margin")
-            ref = fy_loss_reference(s * c, y, build_q_margin_measure(y, k, cfg), a.alpha)
+            theta, q = one_row(c, y, cfg)
+            ref = fy_loss_reference(theta, y, q, a.alpha)
             assert q_margin_loss(c, y, cfg, a).value == pytest.approx(ref, rel=0, abs=1e-8), i
 
     def test_against_brute_force_grid(self):
         c = np.array([0.9, 0.1])
         cfg = MarginConfig(scale=2.0, margin=0.5, mode="q_margin")
         out = q_margin_loss(c, 0, cfg, A2)
-        theta = cfg.scale * c
-        q = build_q_margin_measure(0, 2, cfg)
+        theta, q = one_row(c, 0, cfg)
         yv = np.array([1.0, 0.0])
         u = yv / q
         dfy = float(
@@ -218,24 +249,30 @@ class TestQMarginLoss:
 
 
 class TestGeometricMargins:
+    """The margin-moved cosines: the logits of margin_logits at scale 1."""
+
+    @staticmethod
+    def moved(c, y, m, mode):
+        return one_row(c, y, MarginConfig(scale=1.0, margin=m, mode=mode))[0]
+
     def test_arcface_values(self):
-        c = apply_arcface_margin([0.5, 0.2], 0, 0.5)
+        c = self.moved([0.5, 0.2], 0, 0.5, "arcface")
         assert c[0] == pytest.approx(np.cos(np.arccos(0.5) + 0.5), abs=1e-6)
         assert c[0] == pytest.approx(0.0236, abs=1e-3)
         assert c[1] == 0.2
 
     def test_arcface_zero_margin_identity(self):
         c = np.array([0.7, -0.3])
-        np.testing.assert_allclose(apply_arcface_margin(c, 0, 0.0), c, atol=1e-6)
+        np.testing.assert_allclose(self.moved(c, 0, 0.0, "arcface"), c, atol=1e-6)
 
     def test_arcface_boundary_cosine(self):
-        c = apply_arcface_margin([1.0, 0.0], 0, 0.5)
+        c = self.moved([1.0, 0.0], 0, 0.5, "arcface")
         assert c[0] == pytest.approx(np.cos(0.5), abs=1e-3)
 
     def test_cosface_values(self):
-        c = apply_cosface_margin([0.9, 0.1], 0, 0.5)
+        c = self.moved([0.9, 0.1], 0, 0.5, "cosface")
         np.testing.assert_allclose(c, [0.4, 0.1])
-        np.testing.assert_allclose(apply_cosface_margin([0.9, 0.1], 0, 0.0), [0.9, 0.1])
+        np.testing.assert_allclose(self.moved([0.9, 0.1], 0, 0.0, "cosface"), [0.9, 0.1])
 
 
 class TestBaselineCE:
@@ -306,25 +343,13 @@ class TestGradLogitsFiniteDifference:
                 k = int(rng.integers(3, 8))
                 c = rng.uniform(-0.9, 0.9, k)
                 y = int(rng.integers(k))
-                if mode == "q_margin":
-                    from alphamargin.losses import build_q_margin_measure
-
-                    q = build_q_margin_measure(y, k, cfg)
-                    theta = cfg.scale * c
-                    if near_kink(theta, q, a):
-                        continue
-                    out = fy_loss(theta, y, q, a)
-                    fn = lambda t: fy_loss(t, y, q, a).value
-                elif mode == "a3m":
-                    q = np.ones(k)
-                    theta = cfg.scale * apply_arcface_margin(c, y, cfg.margin)
+                theta, q = one_row(c, y, cfg)
+                if mode in ("q_margin", "a3m"):
                     if near_kink(theta, q, a):
                         continue
                     out = fy_loss(theta, y, q, a)
                     fn = lambda t: fy_loss(t, y, q, a).value
                 else:
-                    apply = apply_cosface_margin if mode == "cosface" else apply_arcface_margin
-                    theta = cfg.scale * apply(c, y, cfg.margin)
                     out = baseline_ce_loss(c, y, cfg)
                     fn = lambda t: cross_entropy_oracle(t, y)
                 for i in range(k):
@@ -335,21 +360,28 @@ class TestGradLogitsFiniteDifference:
 
 class TestBatchHelpers:
     def test_batch_matches_scalar_losses(self, rng):
+        # the scalar losses are one-row views of the batch path, bit for bit
         a = AlphaParams(1.25)
         for mode in ("q_margin", "a3m", "cosface", "arcface"):
             cfg = MarginConfig(scale=16.0, margin=0.2, mode=mode)
-            C = rng.uniform(-0.9, 0.9, (8, 6))
-            ys = rng.integers(6, size=8)
-            values, dC, P = batch_loss_and_cosine_grad(C, ys, cfg, a)
-            for i in range(8):
-                if mode == "q_margin":
-                    ref = q_margin_loss(C[i], int(ys[i]), cfg, a)
-                elif mode == "a3m":
-                    ref = a3m_loss(C[i], int(ys[i]), cfg, a)
-                else:
-                    ref = baseline_ce_loss(C[i], int(ys[i]), cfg)
-                assert values[i] == pytest.approx(ref.value, abs=1e-9)
-                np.testing.assert_allclose(P[i], ref.posterior.to_dense(), atol=1e-9)
+            for k in (2, 6):
+                C = rng.uniform(-0.9, 0.9, (8, k))
+                ys = rng.integers(k, size=8)
+                # target cosines on the arccos guard band
+                C[0, ys[0]], C[1, ys[1]] = 1.0, -1.0
+                values, dC, P = batch_loss_and_cosine_grad(C, ys, cfg, a)
+                G = P.copy()
+                G[np.arange(8), ys] -= 1.0
+                for i in range(8):
+                    if mode == "q_margin":
+                        ref = q_margin_loss(C[i], int(ys[i]), cfg, a)
+                    elif mode == "a3m":
+                        ref = a3m_loss(C[i], int(ys[i]), cfg, a)
+                    else:
+                        ref = baseline_ce_loss(C[i], int(ys[i]), cfg)
+                    assert values[i] == ref.value, (mode, k, i)
+                    assert np.array_equal(P[i], ref.posterior.to_dense()), (mode, k, i)
+                    assert np.array_equal(ref.grad_logits, G[i]), (mode, k, i)
 
     def test_batch_posteriors_row_sums(self, rng):
         a = AlphaParams(1.5)
