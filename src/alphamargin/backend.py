@@ -85,8 +85,8 @@ def _solve_block(theta, q, alpha, tol, max_iters, P, taus):
         for i in np.flatnonzero(~live)
     }
     tau = lo
-    crow, col = np.nonzero((1.0 + am1 * (theta - lo[:, None]) > 0.0) & live[:, None])
-    at = crow * k + col
+    at = np.flatnonzero((1.0 + am1 * (theta - lo[:, None]) > 0.0) & live[:, None])
+    crow = at // k
     th_c = theta.reshape(-1)[at]
     q_c = q.reshape(-1)[at]
     P_flat = P.reshape(-1)

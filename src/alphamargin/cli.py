@@ -193,7 +193,8 @@ def cmd_train(args):
 
 def read_trials(path):
     """Parse an 'i,j,flag' trials file (flag 1 genuine, 0 impostor; '#'
-    comments and blank lines skipped). It must hold trials of both kinds."""
+    comments and blank lines skipped) into a trial array (evalkit.as_trials).
+    It must hold trials of both kinds."""
     try:
         with open(path) as fh:
             lines = list(fh)
@@ -211,7 +212,8 @@ def read_trials(path):
         if flag not in (0, 1):
             raise DataFormatError(f"{path}:{lineno}: bad trial line {line!r}")
         trials.append((i, j, bool(flag)))
-    if len({same for _, _, same in trials}) < 2:
+    trials = evalkit.as_trials(trials)
+    if trials["genuine"].all() or not trials["genuine"].any():
         raise DataFormatError(f"{path}: needs both genuine (flag 1) and impostor (flag 0) trials")
     return trials
 

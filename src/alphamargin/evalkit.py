@@ -1,9 +1,15 @@
 """Verification scoring and diagnostics: trial scoring, FRR@FAR, DET curves
 and the sparsity/misalignment statistics of trained models.
 
+Trials are one structured array of TRIAL_DTYPE, fields i, j (int64
+embedding indices) and genuine (bool), from sampling to scoring; iterating
+it yields (i, j, genuine) rows and .tolist() gives them as Python tuples.
+Impostor pairs are drawn in bulk, and trials are scored SCORE_BLOCK pairs
+at a time, so scoring holds O(n_trials + SCORE_BLOCK * d) memory.
+
 The FRR@FAR and DET sweeps are O(n log n): the scores are sorted once and
-FAR(t) and FRR(t) counted at every threshold by binary search. Impostor
-sampling and trial scoring are whole-array operations.
+FAR(t) and FRR(t) counted at every threshold by binary search. The DET
+sweep is an (m, 3) float array, written to CSV column by column.
 
 Tie handling: impostor scores equal to the threshold count as accepted
 (>= comparison). Thresholds are observed scores. FAR targets below
@@ -42,10 +48,37 @@ class SparsityReport:
         return asdict(self)
 
 
+# One trial per element: embedding indices i, j and whether they share an identity.
+TRIAL_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("genuine", np.bool_)])
+
+# Indices that do not fit int64 keep their Python ints; no embedding set is that large.
+_WIDE_TRIAL_DTYPE = np.dtype([("i", object), ("j", object), ("genuine", np.bool_)])
+
+# Pairs scored per stacked matmul; bounds score_trials' (block, d) gathers.
+SCORE_BLOCK = 1 << 16
+
+
+def as_trials(rows):
+    """(i, j, is_genuine) rows as a trial array; a trial array is returned as is."""
+    if isinstance(rows, np.ndarray) and rows.dtype.names == TRIAL_DTYPE.names:
+        return rows
+    rows = [tuple(row) for row in rows]
+    if not all(isinstance(x, (int, np.integer)) for row in rows for x in row[:2]):
+        raise IndexError("trial indices must be integers")
+    try:
+        return np.array(rows, dtype=TRIAL_DTYPE)
+    except OverflowError:
+        return np.array(rows, dtype=_WIDE_TRIAL_DTYPE)
+
+
 def make_trials(labels, n_genuine, n_impostor, seed):
-    """Sample (i, j, is_genuine) index pairs from a label vector. Impostor
-    pairs are drawn in bulk; the PCG64 stream does not depend on the chunking,
-    so they are those of one rng.integers(n, size=2) call per pair."""
+    """Sample trials from a label vector: n_genuine pairs of two images of one
+    identity, then n_impostor pairs of two identities, as a TRIAL_DTYPE array.
+
+    Genuine pairs take one rng.integers and one rng.choice call each.
+    Impostor pairs are drawn in bulk; the PCG64 stream does not depend on the
+    chunking, so they are those of one rng.integers(n, size=2) call per pair.
+    """
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     by_id = {}
@@ -54,40 +87,48 @@ def make_trials(labels, n_genuine, n_impostor, seed):
     multi = [v for v in by_id.values() if len(v) >= 2]
     if not multi:
         raise ValueError("no identity has >= 2 samples; cannot build genuine trials")
-    trials = []
+    pairs = []
     for _ in range(n_genuine):
         grp = multi[rng.integers(len(multi))]
         i, j = rng.choice(len(grp), size=2, replace=False)
-        trials.append((grp[i], grp[j], True))
+        pairs.append((grp[i], grp[j]))
     n = len(labels)
     counts = np.unique(labels, return_counts=True)[1]
     if n_impostor > 0 and len(counts) < 2:
         raise ValueError("fewer than 2 identities; cannot build impostor trials")
     accept = 1.0 - np.sum((counts / n) ** 2)  # P(a random pair has two labels)
+    chunks = [np.array(pairs, dtype=np.int64).reshape(-1, 2)]
     made = 0
     while made < n_impostor:
         need = n_impostor - made  # 10% spare rows: one draw nearly always suffices
-        pairs = rng.integers(n, size=(int(need / accept * 1.1) + 16, 2))
-        pairs = pairs[labels[pairs[:, 0]] != labels[pairs[:, 1]]][:need]
-        trials.extend((i, j, False) for i, j in pairs.tolist())
-        made += len(pairs)
+        draw = rng.integers(n, size=(int(need / accept * 1.1) + 16, 2))
+        draw = draw[labels[draw[:, 0]] != labels[draw[:, 1]]][:need]
+        chunks.append(draw)
+        made += len(draw)
+    ij = np.concatenate(chunks)
+    trials = np.zeros(len(ij), TRIAL_DTYPE)
+    trials["i"], trials["j"] = ij.T
+    trials["genuine"][:n_genuine] = True
     return trials
 
 
 def score_trials(embeddings, trials) -> TrialScoreSet:
-    """Cosine scores for (i, j, is_genuine) trials over unit-norm embeddings."""
+    """Cosine scores of trials (a trial array or (i, j, is_genuine) rows) over
+    unit-norm embeddings, SCORE_BLOCK pairs at a time. Each score is the one
+    ddot of embeddings[i] @ embeddings[j]."""
     embeddings = np.asarray(embeddings, dtype=np.float64)
     n = embeddings.shape[0]
-    if len(trials) == 0:
-        return TrialScoreSet(genuine=np.array([]), impostor=np.array([]))
-    i, j, same = (np.array(col) for col in zip(*trials))
+    trials = as_trials(trials)
+    i, j = trials["i"], trials["j"]
     bad = np.flatnonzero(~((0 <= i) & (i < n) & (0 <= j) & (j < n)))
     if bad.size:
-        i, j, _ = trials[bad[0]]
+        i, j, _ = trials[bad[0]].tolist()
         raise IndexError(f"trial index ({i}, {j}) out of range for {n} embeddings")
-    # one ddot per pair, as embeddings[i] @ embeddings[j]
-    s = np.matmul(embeddings[i][:, None, :], embeddings[j][:, :, None])[:, 0, 0]
-    same = same.astype(bool)
+    s = np.empty(len(trials))
+    for start in range(0, len(trials), SCORE_BLOCK):
+        blk = slice(start, start + SCORE_BLOCK)
+        s[blk] = np.matmul(embeddings[i[blk]][:, None, :], embeddings[j[blk]][:, :, None])[:, 0, 0]
+    same = trials["genuine"]
     return TrialScoreSet(genuine=s[same], impostor=s[~same])
 
 
@@ -136,20 +177,33 @@ def frr_at_far(scores: TrialScoreSet, far_target: float):
 
 
 def det_points(scores: TrialScoreSet):
-    """DET sweep: (far, frr, threshold) rows sorted by far ascending."""
+    """DET sweep: an (m, 3) array of (far, frr, threshold) rows, far ascending."""
     _require_both_kinds(scores)
     # descending threshold -> ascending FAR
     thresholds = np.unique(np.concatenate([scores.genuine, scores.impostor]))[::-1]
     far, frr = _far_frr(scores, thresholds)
-    return list(zip(far.tolist(), frr.tolist(), thresholds.tolist()))
+    return np.column_stack([far, frr, thresholds])
+
+
+def _float_reprs(col):
+    """repr of each float of col, formatting each run of equal values once."""
+    if len(col) == 0:
+        return []
+    bits = col.view(np.uint64)  # equal bits: -0.0 and 0.0 stay apart
+    starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+    text = np.array([repr(x) for x in col[starts].tolist()], dtype=object)
+    return np.repeat(text, np.diff(np.r_[starts, len(col)])).tolist()
 
 
 def write_det_csv(rows, path):
-    """CSV with a header and repr-formatted rows, byte for byte what
-    csv.writer writes: a float repr never needs quoting; lines end in CRLF."""
-    lines = ["far,frr,threshold"] + [f"{far!r},{frr!r},{t!r}" for far, frr, t in rows]
+    """CSV with a header and repr-formatted (far, frr, threshold) rows, byte
+    for byte what csv.writer writes: a float repr never needs quoting; lines
+    end in CRLF. Formatted by column; frr takes few distinct values."""
+    far, frr, t = np.asarray(rows, dtype=np.float64).reshape(-1, 3).T
+    cols = (list(map(repr, far.tolist())), _float_reprs(frr),
+            list(map(repr, t.tolist())))
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write("\r\n".join(["far,frr,threshold", *map(",".join, zip(*cols))]) + "\r\n")
 
 
 def avg_relative_improvement(det_ours, det_base, far_lo, far_hi, n_grid=50):
@@ -190,10 +244,11 @@ def sparsity_report(embeddings, labels, prototypes, loss_cfg, params) -> Sparsit
     py_zero = P[rows, labels] == 0.0
     nnz = np.count_nonzero(P, axis=1)
     misaligned_images = float(np.mean(py_zero))
-    ids = np.unique(labels)
-    all_zero = [bool(np.all(py_zero[labels == y])) for y in ids]
+    # an identity is misaligned when none of its images is aligned (p_y > 0)
+    present = np.bincount(labels, minlength=k) > 0
+    aligned = np.bincount(labels[~py_zero], minlength=k)
     return SparsityReport(
-        misaligned_identity_fraction=float(np.mean(all_zero)),
+        misaligned_identity_fraction=float(np.mean(aligned[present] == 0)),
         misaligned_image_fraction=misaligned_images,
         posterior_sparsity=float(np.mean((k - nnz) / k)),
         onehot_fraction=float(np.mean(nnz == 1)),

@@ -66,6 +66,21 @@ class LossOutput:
     posterior: PosteriorDistribution
 
 
+def _check_labels(ys, shape):
+    """The one check of the class indices ys of a (B, k) batch: one per row,
+    each in [0, k), as the scalar losses require of theirs."""
+    ys = np.asarray(ys)
+    B, k = shape
+    if ys.shape != (B,):
+        raise ValueError(
+            f"expected one class index per row ({B} rows), got labels of shape {ys.shape}"
+        )
+    bad = np.flatnonzero((ys < 0) | (ys >= k))
+    if bad.size:
+        raise IndexError(f"class index {ys[bad[0]]} out of range for k={k}")
+    return ys
+
+
 def margin_logits(C, ys, cfg):
     """Logits Theta (B, k) and reference measure Q of the mode at cosines C (B, k).
 
@@ -75,7 +90,12 @@ def margin_logits(C, ys, cfg):
     exp(-s*m), others 1), ones for a3m and None for the cross-entropy modes.
     """
     C = np.asarray(C, dtype=np.float64)
-    target = (np.arange(C.shape[0]), np.asarray(ys))
+    return _margin_logits(C, _check_labels(ys, C.shape), cfg)
+
+
+def _margin_logits(C, ys, cfg):
+    """margin_logits of a float (B, k) array C with checked labels ys."""
+    target = (np.arange(C.shape[0]), ys)
     Theta = cfg.scale * C
     if cfg.mode == "cosface":
         Theta[target] = cfg.scale * (C[target] - cfg.margin)
@@ -138,9 +158,13 @@ def fy_loss(theta, y, q, params):
 
 def fy_loss_batch(Theta, ys, Q, params):
     """Row-wise fy_loss. Returns (values (B,), grads (B,k), posteriors (B,k))."""
+    return _fy_batch(Theta, _check_labels(ys, np.shape(Theta)), Q, params)
+
+
+def _fy_batch(Theta, ys, Q, params):
+    """fy_loss_batch with checked labels ys."""
     Theta = np.ascontiguousarray(Theta, dtype=np.float64)
     Q = np.ascontiguousarray(Q, dtype=np.float64)
-    ys = np.asarray(ys)
     P, taus = backend.posterior_batch(
         Theta, Q, params.alpha, params.bisect_tol, params.max_iters
     )
@@ -158,7 +182,7 @@ def _margin_row(c, y, cfg, modes):
     """margin_logits of one checked cosine row c with target y, for the given modes."""
     if cfg.mode not in modes:
         raise ValueError(f"expected mode {' or '.join(map(repr, modes))}, got {cfg.mode!r}")
-    Theta, Q = margin_logits(_check_logits(c, y)[None], [y], cfg)
+    Theta, Q = _margin_logits(_check_logits(c, y)[None], np.array([y]), cfg)
     return Theta[0], None if Q is None else Q[0]
 
 
@@ -187,8 +211,9 @@ def baseline_ce_loss(c, y, cfg):
 
 def batch_posteriors(C, ys, cfg, params):
     """Posterior matrix (B, k) for the configured loss at cosine matrix C."""
-    ys = np.asarray(ys)
-    Theta, Q = margin_logits(C, ys, cfg)
+    C = np.asarray(C, dtype=np.float64)
+    ys = _check_labels(ys, C.shape)
+    Theta, Q = _margin_logits(C, ys, cfg)
     if Q is None:
         return _ce_rows(Theta, ys)[1]
     P, _ = backend.posterior_batch(Theta, Q, params.alpha, params.bisect_tol, params.max_iters)
@@ -203,13 +228,13 @@ def batch_loss_and_cosine_grad(C, ys, cfg, params):
     Returns (values (B,), dC (B,k), posteriors (B,k)).
     """
     C = np.asarray(C, dtype=np.float64)
-    ys = np.asarray(ys)
-    Theta, Q = margin_logits(C, ys, cfg)
+    ys = _check_labels(ys, C.shape)
+    Theta, Q = _margin_logits(C, ys, cfg)
     if Q is None:
         values, P = _ce_rows(Theta, ys)
         G = _minus_targets(P, ys)
     else:
-        values, G, P = fy_loss_batch(Theta, ys, Q, params)
+        values, G, P = _fy_batch(Theta, ys, Q, params)
 
     dC = cfg.scale * G
     if cfg.mode in ("a3m", "arcface"):

@@ -320,6 +320,22 @@ class TestEval:
         assert "not a text file" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("big", [10**30, -(10**30), 2**63])
+    def test_trial_index_beyond_int64_is_data_error(self, tmp_path, dataset_path, capsys, big):
+        # an index no int64 holds is out of range like any other; the first
+        # bad trial is named, not the later one that is merely negative
+        ckpt = self._train(tmp_path, dataset_path, epochs="1")
+        trials_path = tmp_path / "trials.csv"
+        trials_path.write_text(f"0,1,1\n2,{big},0\n-1,0,0\n")
+        capsys.readouterr()
+        code, out = self._eval(tmp_path, ckpt, dataset_path, "--trials", str(trials_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"trial index (2, {big}) out of range for 64 embeddings" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestProbe:
     def test_sparsemax_instance(self, capsys):
         code = run(["probe", "--theta", "0.5,0.0", "--alpha", "2.0"])

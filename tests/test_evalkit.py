@@ -12,7 +12,10 @@ from conftest import (
 from alphamargin.core import AlphaParams
 from alphamargin.errors import UnattainableFARError
 from alphamargin.evalkit import (
+    SCORE_BLOCK,
+    TRIAL_DTYPE,
     TrialScoreSet,
+    as_trials,
     avg_relative_improvement,
     det_points,
     frr_at_far,
@@ -21,7 +24,7 @@ from alphamargin.evalkit import (
     sparsity_report,
     write_det_csv,
 )
-from alphamargin.losses import MarginConfig
+from alphamargin.losses import MarginConfig, batch_posteriors
 
 
 def scores(genuine, impostor):
@@ -105,9 +108,8 @@ class TestDetPoints:
             assert far + frr == pytest.approx(1.0)
 
     def test_single_point(self):
-        rows = det_points(scores([0.8], [0.2]))
-        assert (1.0, 0.0, 0.2) in rows
-        assert (0.0, 0.0, 0.8) in rows
+        rows = det_points(scores([0.8], [0.2])).tolist()
+        assert rows == [[0.0, 0.0, 0.8], [1.0, 0.0, 0.2]]
 
     def test_consistent_with_frr_at_far(self):
         rng = np.random.default_rng(2)
@@ -125,8 +127,8 @@ class TestDetPoints:
         write_det_csv(rows, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "far,frr,threshold"
-        back = [tuple(float(x) for x in ln.split(",")) for ln in lines[1:]]
-        assert back == rows
+        back = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
+        assert back == rows.tolist()
 
 
 class TestScoreTrials:
@@ -140,6 +142,19 @@ class TestScoreTrials:
     def test_out_of_range_index(self):
         with pytest.raises(IndexError):
             score_trials(np.eye(2), [(0, 5, True)])
+
+    def test_non_integer_index(self):
+        with pytest.raises(IndexError, match="must be integers"):
+            score_trials(np.eye(2), [(0, 1.0, True)])
+
+    def test_rows_and_trial_arrays_alike(self):
+        rows = [(0, 1, True), (1, 0, False)]
+        trials = as_trials(rows)
+        assert trials.dtype == TRIAL_DTYPE and trials.tolist() == rows
+        assert as_trials(trials) is trials
+        assert [tuple(t) for t in trials] == rows
+        i, j, same = (np.array(col) for col in zip(*trials))
+        assert i.tolist() == [0, 1] and same.dtype == bool
 
 
 class TestMakeTrials:
@@ -156,7 +171,9 @@ class TestMakeTrials:
 
     def test_deterministic(self):
         labels = np.array([0, 0, 1, 1, 2, 2])
-        assert make_trials(labels, 10, 10, seed=5) == make_trials(labels, 10, 10, seed=5)
+        first = make_trials(labels, 10, 10, seed=5)
+        assert first.dtype == TRIAL_DTYPE
+        assert first.tolist() == make_trials(labels, 10, 10, seed=5).tolist()
 
     def test_requires_multi_sample_identity(self):
         with pytest.raises(ValueError):
@@ -225,6 +242,26 @@ class TestSparsityReport:
         assert rep.misaligned_image_fraction == 1.0
 
 
+    @pytest.mark.parametrize("mode", ["q_margin", "a3m", "cosface"])
+    def test_identity_fraction_matches_the_per_identity_loop(self, mode):
+        # ids 0..11 of k=15, some never drawn; many identities lose every image
+        rng = np.random.default_rng(12)
+        E = rng.standard_normal((200, 6))
+        E /= np.linalg.norm(E, axis=1, keepdims=True)
+        W = rng.standard_normal((15, 6))
+        W /= np.linalg.norm(W, axis=1, keepdims=True)
+        labels = rng.integers(0, 12, 200)
+        cfg = MarginConfig(scale=16.0, margin=0.4, mode=mode)
+        params = AlphaParams(2.0)
+        rep = sparsity_report(E, labels, W, cfg, params)
+        P = batch_posteriors(E @ W.T, labels, cfg, params)
+        py_zero = P[np.arange(200), labels] == 0.0
+        want = float(np.mean([bool(np.all(py_zero[labels == y])) for y in np.unique(labels)]))
+        assert repr(rep.misaligned_identity_fraction) == repr(want)
+        if mode != "cosface":
+            assert 0.0 < want < 1.0
+
+
 def _outcome(fn, *args):
     """The result of fn(*args), or the type and message of what it raised."""
     try:
@@ -278,6 +315,8 @@ class TestMatchesLoopReference:
                 det_points(s)
             return
         got = det_points(s)
+        assert got.dtype == np.float64 and got.shape == (len(got), 3)
+        got = [tuple(row) for row in got.tolist()]
         want = det_points_loop_reference(s)
         assert got == want
         assert _reprs(got) == _reprs(want)
@@ -295,6 +334,28 @@ class TestMatchesLoopReference:
             assert got == want, target
             if got[0] == "ok":
                 assert _reprs([got[1]]) == _reprs([want[1]])
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            det_points(scores(*_SWEEP_CASES["signed_zero_ties_large"])),
+            det_points_loop_reference(scores(*_SWEEP_CASES["continuous"])),
+            # runs of equal frr values split by signed zeros and a nan
+            [(0.0, -0.0, 1.0), (0.5, -0.0, 0.5), (0.5, 0.0, -0.0), (1.0, 0.0, -0.5),
+             (1.0, float("nan"), 0.25), (1.0, 0.5, 0.125), (1.0, 0.5, 0.1)],
+            [],
+        ],
+        ids=["det_array", "det_rows", "signed_zero_runs", "empty"],
+    )
+    def test_write_det_csv(self, tmp_path, rows):
+        # formatted by column and frr run by run; the bytes are csv.writer's
+        write_det_csv(rows, tmp_path / "new.csv")
+        with open(tmp_path / "old.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["far", "frr", "threshold"])
+            for row in rows:
+                w.writerow([repr(float(x)) for x in row])
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     @pytest.mark.parametrize("fars", [["1e-2"], ["0.5", "1e-3"], ["1e-2", "1e-3", "1e-4"]])
     def test_eval_outputs_byte_identical(self, tmp_path, fars):
@@ -335,8 +396,10 @@ class TestMatchesLoopReference:
     def test_make_trials(self, labels, n_genuine, n_impostor):
         for seed in range(3):
             got = make_trials(labels, n_genuine, n_impostor, seed)
+            assert got.dtype == TRIAL_DTYPE
+            got = got.tolist()
             assert got == make_trials_loop_reference(labels, n_genuine, n_impostor, seed)
-            assert all(type(i) is int and type(j) is int for i, j, _ in got)
+            assert all(type(i) is int and type(j) is int and type(g) is bool for i, j, g in got)
 
     def test_split_99_to_1_redraws(self, monkeypatch):
         # with 2% of random pairs usable, some seeds need more than one bulk
@@ -360,7 +423,7 @@ class TestMatchesLoopReference:
                 return self.rng.choice(*args, **kwargs)
 
         monkeypatch.setattr(np.random, "default_rng", CountingRng)
-        got = [make_trials(labels, 2, 5, seed) for seed in range(10)]
+        got = [make_trials(labels, 2, 5, seed).tolist() for seed in range(10)]
         assert got == want
         assert max(r.bulk_draws for r in made) > 1
 
@@ -377,7 +440,8 @@ class TestMatchesLoopReference:
     def test_single_identity_raises(self):
         with pytest.raises(ValueError, match="fewer than 2 identities"):
             make_trials(np.array([0, 0, 0]), 2, 1, 0)
-        assert len(make_trials(np.array([0, 0, 0]), 2, 0, 0)) == 2
+        labels = np.array([0, 0, 0])
+        assert make_trials(labels, 2, 0, 0).tolist() == make_trials_loop_reference(labels, 2, 0, 0)
 
     @pytest.mark.parametrize("d", [2, 3, 16, 64, 128])
     def test_score_trials(self, d):
@@ -386,8 +450,10 @@ class TestMatchesLoopReference:
         E /= np.linalg.norm(E, axis=1, keepdims=True)
         idx = rng.integers(0, 60, (3000, 2)).tolist()
         flags = rng.integers(0, 2, 3000).tolist()
+        rows = [(i, j, bool(f)) for (i, j), f in zip(idx, flags)]
         for trials in (
-            [(i, j, bool(f)) for (i, j), f in zip(idx, flags)],
+            rows,
+            as_trials(rows),
             [(i, j, f) for (i, j), f in zip(idx, flags)],  # 0/1 flags
             [],
         ):
@@ -395,6 +461,19 @@ class TestMatchesLoopReference:
             want = score_trials_loop_reference(E, trials)
             assert np.array_equal(got.genuine, want.genuine)
             assert np.array_equal(got.impostor, want.impostor)
+            assert got.genuine.dtype == got.impostor.dtype == np.float64
+
+    def test_score_trials_across_blocks(self):
+        # SCORE_BLOCK + 5 trials: the last five are scored in a second block
+        rng = np.random.default_rng(10)
+        E = rng.standard_normal((300, 16))
+        E /= np.linalg.norm(E, axis=1, keepdims=True)
+        trials = make_trials(rng.integers(0, 30, 300), 1000, SCORE_BLOCK - 995, seed=11)
+        assert len(trials) == SCORE_BLOCK + 5
+        got = score_trials(E, trials)
+        want = score_trials_loop_reference(E, trials.tolist())
+        assert np.array_equal(got.genuine, want.genuine)
+        assert np.array_equal(got.impostor, want.impostor)
 
     @pytest.mark.parametrize(
         "trials",
@@ -409,3 +488,4 @@ class TestMatchesLoopReference:
         got = _outcome(score_trials, E, trials)
         assert got[0] is IndexError
         assert got == _outcome(score_trials_loop_reference, E, trials)
+        assert _outcome(score_trials, E, as_trials(trials)) == got

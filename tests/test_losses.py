@@ -358,6 +358,9 @@ class TestGradLogitsFiniteDifference:
                 checked += 1
 
 
+_PER_ROW = "expected one class index per row (2 rows)"
+
+
 class TestBatchHelpers:
     def test_batch_matches_scalar_losses(self, rng):
         # the scalar losses are one-row views of the batch path, bit for bit
@@ -382,6 +385,36 @@ class TestBatchHelpers:
                     assert values[i] == ref.value, (mode, k, i)
                     assert np.array_equal(P[i], ref.posterior.to_dense()), (mode, k, i)
                     assert np.array_equal(ref.grad_logits, G[i]), (mode, k, i)
+
+    @pytest.mark.parametrize(
+        "ys, error, message",
+        [
+            ([0, -1], IndexError, "class index -1 out of range for k=3"),
+            ([3, 0], IndexError, "class index 3 out of range for k=3"),
+            ([0, 10**30], IndexError, f"class index {10**30} out of range for k=3"),
+            ([0], ValueError, f"{_PER_ROW}, got labels of shape (1,)"),
+            ([[0, 1]], ValueError, f"{_PER_ROW}, got labels of shape (1, 2)"),
+        ],
+        ids=["y=-1", "y=k", "y=1e30", "short", "2-d"],
+    )
+    def test_batch_entry_points_check_labels(self, ys, error, message):
+        # a negative label used to pick the last class and a label >= k to
+        # raise numpy's own IndexError; the scalar losses' check applies
+        C = np.array([[0.5, 0.1, -0.2], [0.3, 0.2, 0.1]])
+        a = AlphaParams(1.5)
+        calls = {
+            "fy_loss_batch": lambda: fy_loss_batch(8.0 * C, ys, np.ones_like(C), a),
+        }
+        for mode in ("q_margin", "a3m", "cosface", "arcface"):
+            cfg = MarginConfig(scale=8.0, margin=0.2, mode=mode)
+            calls[f"batch_posteriors/{mode}"] = lambda cfg=cfg: batch_posteriors(C, ys, cfg, a)
+            calls[f"batch_loss_and_cosine_grad/{mode}"] = (
+                lambda cfg=cfg: batch_loss_and_cosine_grad(C, ys, cfg, a)
+            )
+        for name, call in calls.items():
+            with pytest.raises(Exception) as info:
+                call()
+            assert (type(info.value), str(info.value)) == (error, message), name
 
     def test_batch_posteriors_row_sums(self, rng):
         a = AlphaParams(1.5)
