@@ -1,7 +1,8 @@
 """Command-line entry point: dataset generation, training, evaluation,
 sparsity statistics and one-shot solver probing.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 solver failure.
+Exit codes: 0 success, 1 usage/config error, 2 data error, 3 solver or numeric
+failure (a SolverError, or a FloatingPointError from a diverging run).
 All randomness flows from the seeds in the arguments/config; no hidden
 entropy sources, so every subcommand is deterministic given its inputs.
 """
@@ -10,6 +11,7 @@ import argparse
 import configparser
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -40,35 +42,6 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 # train config files (INI)
 
-_SCHEMA = {
-    "data": {"dataset"},
-    "alpha": {"alpha", "bisect_tol", "max_iters"},
-    "loss": {"mode", "scale", "margin", "anneal_start", "anneal_end"},
-    "train": {
-        "epochs",
-        "batch_size",
-        "lr_schedule",
-        "momentum",
-        "weight_decay",
-        "reinit_epoch",
-        "seed",
-        "hidden_dim",
-        "embed_dim",
-    },
-    "run": {"out_dir"},
-}
-
-_DEFAULTS = {
-    "alpha": {"bisect_tol": "1e-10", "max_iters": "200"},
-    "train": {
-        "momentum": "0.9",
-        "weight_decay": "5e-4",
-        "seed": "0",
-        "hidden_dim": "32",
-    },
-}
-
-
 def _parse_lr_schedule(text):
     sched = []
     for item in text.split(","):
@@ -77,9 +50,34 @@ def _parse_lr_schedule(text):
     return sched
 
 
+# section -> key -> parser of its value. The [alpha] and [train] keys are the
+# fields of AlphaParams and TrainConfig, whose defaults fill omitted keys.
+_SCHEMA = {
+    "data": {"dataset": str},
+    "alpha": {"alpha": float, "bisect_tol": float, "max_iters": int},
+    "loss": {
+        "mode": str, "scale": float, "margin": float, "anneal_start": int, "anneal_end": int,
+    },
+    "train": {
+        "epochs": int, "batch_size": int, "lr_schedule": _parse_lr_schedule,
+        "momentum": float, "weight_decay": float, "reinit_epoch": int, "seed": int,
+        "hidden_dim": int, "embed_dim": int,
+    },
+    "run": {"out_dir": str},
+}
+
+_REQUIRED = (
+    ("data", "dataset"), ("run", "out_dir"), ("alpha", "alpha"),
+    ("loss", "mode"), ("loss", "scale"), ("loss", "margin"),
+    ("train", "epochs"), ("train", "batch_size"), ("train", "lr_schedule"),
+)
+
+
 def read_train_config(path):
-    """Parse and validate a train config, filling defaults. Unknown sections
-    or keys are rejected. Returns (parsed dict, effective ConfigParser)."""
+    """Parse and validate a train config. Unknown sections or keys are
+    rejected; omitted optional keys take their dataclass defaults, which are
+    written into the returned ConfigParser for the echo. Returns (parsed dict,
+    effective ConfigParser)."""
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise DataFormatError(f"cannot read config file {path}")
@@ -89,54 +87,33 @@ def read_train_config(path):
         for key in cp[section]:
             if key not in _SCHEMA[section]:
                 raise UsageError(f"unknown key {key!r} in section [{section}]")
-    for section, required in (("data", "dataset"), ("run", "out_dir")):
-        if not cp.has_option(section, required):
-            raise UsageError(f"missing [{section}] {required}")
-    for section, defaults in _DEFAULTS.items():
-        if not cp.has_section(section):
-            cp.add_section(section)
-        for key, value in defaults.items():
-            if not cp.has_option(section, key):
-                cp.set(section, key, value)
+    for section, key in _REQUIRED:
+        if not cp.has_option(section, key):
+            raise UsageError(f"missing [{section}] {key}")
+    if cp.has_option("loss", "anneal_start") != cp.has_option("loss", "anneal_end"):
+        raise UsageError("[loss] anneal_start and anneal_end must be given together")
 
     try:
-        params = AlphaParams(
-            alpha=cp.getfloat("alpha", "alpha"),
-            bisect_tol=cp.getfloat("alpha", "bisect_tol"),
-            max_iters=cp.getint("alpha", "max_iters"),
-        )
+        values = {
+            section: {key: _SCHEMA[section][key](text) for key, text in cp[section].items()}
+            for section in cp.sections()
+        }
+        loss = values["loss"]
         anneal = None
-        if cp.has_option("loss", "anneal_start") or cp.has_option("loss", "anneal_end"):
-            anneal = AnnealSchedule(
-                start_epoch=cp.getint("loss", "anneal_start"),
-                end_epoch=cp.getint("loss", "anneal_end"),
-            )
-        loss_cfg = MarginConfig(
-            scale=cp.getfloat("loss", "scale"),
-            margin=cp.getfloat("loss", "margin"),
-            mode=cp.get("loss", "mode"),
-            anneal=anneal,
-        )
+        if "anneal_start" in loss:
+            anneal = AnnealSchedule(loss.pop("anneal_start"), loss.pop("anneal_end"))
+        params = AlphaParams(**values["alpha"])
         train_cfg = trainer.TrainConfig(
-            epochs=cp.getint("train", "epochs"),
-            batch_size=cp.getint("train", "batch_size"),
-            lr_schedule=_parse_lr_schedule(cp.get("train", "lr_schedule")),
-            loss=loss_cfg,
-            alpha=params,
-            momentum=cp.getfloat("train", "momentum"),
-            weight_decay=cp.getfloat("train", "weight_decay"),
-            reinit_epoch=cp.getint("train", "reinit_epoch")
-            if cp.has_option("train", "reinit_epoch")
-            else None,
-            seed=cp.getint("train", "seed"),
-            hidden_dim=cp.getint("train", "hidden_dim"),
-            embed_dim=cp.getint("train", "embed_dim")
-            if cp.has_option("train", "embed_dim")
-            else None,
+            **values["train"], loss=MarginConfig(**loss, anneal=anneal), alpha=params
         )
     except (ValueError, configparser.Error) as exc:
         raise UsageError(f"invalid config: {exc}") from exc
-    return {"dataset": cp.get("data", "dataset"), "out_dir": cp.get("run", "out_dir"),
+    for section, obj in (("alpha", params), ("train", train_cfg)):
+        for key in _SCHEMA[section]:
+            value = getattr(obj, key)
+            if not cp.has_option(section, key) and value is not None:
+                cp.set(section, key, str(value))
+    return {"dataset": values["data"]["dataset"], "out_dir": values["run"]["out_dir"],
             "train": train_cfg}, cp
 
 
@@ -145,15 +122,8 @@ def read_train_config(path):
 
 def cmd_gen(args):
     try:
-        spec = synthdata.SynthSpec(
-            k=args.k,
-            d=args.d,
-            samples_per_id=args.samples_per_id,
-            noise_kappa=args.noise_kappa,
-            seed=args.seed,
-            few_fraction=args.few_fraction,
-            few_count=args.few_count,
-        )
+        names = {f.name for f in fields(synthdata.SynthSpec)}
+        spec = synthdata.SynthSpec(**{k: v for k, v in vars(args).items() if k in names})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     dataset = synthdata.generate(spec)
@@ -327,9 +297,10 @@ def build_parser():
     p.add_argument("--d", type=int, required=True, help="ambient dimension")
     p.add_argument("--samples-per-id", type=int, required=True)
     p.add_argument("--noise-kappa", type=float, required=True, help="cluster concentration")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--few-fraction", type=float, default=0.0)
-    p.add_argument("--few-count", type=int, default=2)
+    # omitted options take the SynthSpec defaults
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--few-fraction", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--few-count", type=int, default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen)
 
@@ -383,6 +354,9 @@ def main(argv=None):
         return 2
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return 3
+    except FloatingPointError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
 
 

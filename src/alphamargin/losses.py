@@ -43,8 +43,8 @@ class MarginConfig:
     anneal: Optional[AnnealSchedule] = None
 
     def __post_init__(self):
-        if not self.scale > 0.0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
+        if not (np.isfinite(self.scale) and self.scale > 0.0):
+            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
         if not 0.0 <= self.margin < 1.0:
             raise ValueError(f"margin must be in [0, 1), got {self.margin}")
         if self.mode not in MODES:

@@ -38,7 +38,7 @@ class SynthSpec:
 
 @dataclass
 class Dataset:
-    points: np.ndarray  # (N, d), unit rows
+    points: np.ndarray  # (N, d); unit rows from generate, as given from load_csv
     labels: np.ndarray  # (N,), int
     id_counts: np.ndarray  # (k,)
 
@@ -126,6 +126,8 @@ def load(path) -> Dataset:
     need = off + n * d * 8 + n * 4
     if len(raw) < need:
         raise DataFormatError(f"{path}: truncated ({len(raw)} bytes, expected {need})")
+    if len(raw) > need:
+        raise DataFormatError(f"{path}: {len(raw) - need} trailing bytes after the dataset")
     points = np.frombuffer(raw, dtype="<f8", count=n * d, offset=off).reshape(n, d).copy()
     labels = np.frombuffer(raw, dtype="<i4", count=n, offset=off + n * d * 8).astype(np.int64)
     if n and (labels.min() < 0 or labels.max() >= k):

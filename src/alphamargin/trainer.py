@@ -33,7 +33,7 @@ _ANNEAL_RATE = 4.0
 class TrainConfig:
     epochs: int
     batch_size: int
-    lr_schedule: list  # [(start_epoch, lr), ...], 1-based epochs, sorted
+    lr_schedule: list  # [(start_epoch, lr), ...], 1-based, strictly increasing starts
     loss: MarginConfig
     alpha: AlphaParams
     momentum: float = 0.9
@@ -50,6 +50,9 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not self.lr_schedule or any(lr <= 0 for _, lr in self.lr_schedule):
             raise ValueError("lr_schedule must be nonempty with positive rates")
+        starts = [start for start, _ in self.lr_schedule]
+        if starts[0] < 1 or any(a >= b for a, b in zip(starts, starts[1:])):
+            raise ValueError(f"lr_schedule start epochs must be >= 1 and increasing, got {starts}")
         if self.reinit_epoch is not None and not 0 < self.reinit_epoch < self.epochs:
             raise ValueError("reinit_epoch must lie strictly inside the epoch range")
 
@@ -77,15 +80,27 @@ def init_model(d_in, hidden, d_emb, k, rng) -> Model:
     return Model(w1=w1, b1=np.zeros(hidden), w2=w2, b2=np.zeros(d_emb), prototypes=W)
 
 
-def _unit_rows(x, eps=1e-12):
-    return x / np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), eps)
+def _normalize(x, eps=1e-12):
+    """Unit rows of x and the (clamped) row norms they were divided by."""
+    norm = np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), eps)
+    return x / norm, norm
+
+
+def _unit_rows(x):
+    return _normalize(x)[0]
+
+
+def _forward(model: Model, X):
+    """The MLP forward pass: hidden activations, unit embeddings and the norms
+    of the embeddings before normalization."""
+    H = np.tanh(X @ model.w1.T + model.b1)
+    E, z_norm = _normalize(H @ model.w2.T + model.b2)
+    return H, E, z_norm
 
 
 def embed(model: Model, X):
     """Unit-normalized embeddings for input rows X."""
-    H = np.tanh(X @ model.w1.T + model.b1)
-    Z = H @ model.w2.T + model.b2
-    return _unit_rows(Z)
+    return _forward(model, X)[1]
 
 
 def forward_cosines(embeddings, prototypes):
@@ -106,13 +121,9 @@ def loss_and_grads(model: Model, X, ys, loss_cfg, params):
     X = np.asarray(X, dtype=np.float64)
     B = X.shape[0]
 
-    H = np.tanh(X @ model.w1.T + model.b1)
-    Z = H @ model.w2.T + model.b2
-    z_norm = np.maximum(np.linalg.norm(Z, axis=1, keepdims=True), 1e-12)
-    E = Z / z_norm
-    w_norm = np.maximum(np.linalg.norm(model.prototypes, axis=1, keepdims=True), 1e-12)
-    Wn = model.prototypes / w_norm
-    C = E @ Wn.T
+    H, E, z_norm = _forward(model, X)
+    Wn, w_norm = _normalize(model.prototypes)
+    C = forward_cosines(E, Wn)
     if not np.all(np.isfinite(C)):
         raise FloatingPointError("non-finite cosines in the forward pass; aborting the step")
 
@@ -216,40 +227,44 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
     state = SGDState()
     metrics, events = [], []
 
-    for epoch in range(1, cfg.epochs + 1):
-        lr = _lr_at(cfg.lr_schedule, epoch)
-        loss_cfg = cfg.loss.with_margin(annealed_margin(cfg.loss, epoch))
-        order = rng.permutation(dataset.n)
-        epoch_loss = 0.0
-        for lo in range(0, dataset.n, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            mean_loss, grads, _ = loss_and_grads(
-                model, dataset.points[idx], dataset.labels[idx], loss_cfg, cfg.alpha
-            )
-            sgd_step(model, grads, state, lr, cfg.momentum, cfg.weight_decay)
-            epoch_loss += mean_loss * len(idx)
-        epoch_loss /= dataset.n
+    # a diverging run raises FloatingPointError instead of going on with inf/nan weights
+    with np.errstate(over="raise", invalid="raise"):
+        for epoch in range(1, cfg.epochs + 1):
+            lr = _lr_at(cfg.lr_schedule, epoch)
+            loss_cfg = cfg.loss.with_margin(annealed_margin(cfg.loss, epoch))
+            order = rng.permutation(dataset.n)
+            epoch_loss = 0.0
+            for lo in range(0, dataset.n, cfg.batch_size):
+                idx = order[lo : lo + cfg.batch_size]
+                mean_loss, grads, _ = loss_and_grads(
+                    model, dataset.points[idx], dataset.labels[idx], loss_cfg, cfg.alpha
+                )
+                sgd_step(model, grads, state, lr, cfg.momentum, cfg.weight_decay)
+                epoch_loss += mean_loss * len(idx)
+            epoch_loss /= dataset.n
 
-        if cfg.reinit_epoch is not None and epoch == cfg.reinit_epoch:
-            model.prototypes = reinitialize_prototypes(
-                dataset.points, dataset.labels, dataset.k, model, rng
-            )
-            state.reset(["prototypes"])
-            events.append(f"epoch {epoch}: prototypes re-initialized, head optimizer state reset")
+            if cfg.reinit_epoch is not None and epoch == cfg.reinit_epoch:
+                model.prototypes = reinitialize_prototypes(
+                    dataset.points, dataset.labels, dataset.k, model, rng
+                )
+                state.reset(["prototypes"])
+                events.append(
+                    f"epoch {epoch}: prototypes re-initialized, head optimizer state reset"
+                )
 
-        report = evalkit.sparsity_report(
-            embed(model, dataset.points), dataset.labels, model.prototypes, loss_cfg, cfg.alpha
-        )
-        metrics.append(
-            {
-                "epoch": epoch,
-                "loss": epoch_loss,
-                "misalignment_ids": report.misaligned_identity_fraction,
-                "misalignment_images": report.misaligned_image_fraction,
-                "posterior_sparsity": report.posterior_sparsity,
-                "onehot_fraction": report.onehot_fraction,
-            }
-        )
+            report = evalkit.sparsity_report(
+                embed(model, dataset.points), dataset.labels, model.prototypes, loss_cfg, cfg.alpha
+            )
+            metrics.append(
+                {
+                    "epoch": epoch,
+                    "loss": epoch_loss,
+                    "misalignment_ids": report.misaligned_identity_fraction,
+                    "misalignment_images": report.misaligned_image_fraction,
+                    "posterior_sparsity": report.posterior_sparsity,
+                    "onehot_fraction": report.onehot_fraction,
+                }
+            )
 
     return TrainResult(model=model, metrics=metrics, events=events)
 
@@ -297,8 +312,10 @@ def load_checkpoint(path) -> Model:
         raise DataFormatError(f"{path}: unsupported version {version}")
     shapes = [(hidden, d_in), (hidden,), (d_emb, hidden), (d_emb,), (k, d_emb)]
     need = 4 + header + sum(int(np.prod(s)) for s in shapes) * 8
-    if len(raw) != need:
+    if len(raw) < need:
         raise DataFormatError(f"{path}: truncated ({len(raw)} bytes, expected {need})")
+    if len(raw) > need:
+        raise DataFormatError(f"{path}: {len(raw) - need} trailing bytes after the checkpoint")
     off = 4 + header
     arrays = {}
     for name, shape in zip(Model.PARAM_NAMES, shapes):

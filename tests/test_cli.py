@@ -1,9 +1,12 @@
 import json
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
 from alphamargin import cli, synthdata, trainer
+from alphamargin.core import AlphaParams
+from alphamargin.losses import MarginConfig
 
 
 def run(args):
@@ -27,13 +30,19 @@ def write_config(path, dataset, out_dir, overrides=None):
     base.update(overrides or {})
     sections = {}
     for (section, key), value in base.items():
-        sections.setdefault(section, {})[key] = value
+        if value is not None:  # an override of None drops the key
+            sections.setdefault(section, {})[key] = value
     lines = []
     for section, kv in sections.items():
         lines.append(f"[{section}]")
         lines.extend(f"{k} = {v}" for k, v in kv.items())
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def _names(cls, required=False):
+    """Field names of a dataclass; only those without a default if required."""
+    return {f.name for f in fields(cls) if not required or f.default is MISSING}
 
 
 @pytest.fixture
@@ -79,6 +88,14 @@ class TestGen:
 
     def test_missing_required_flag(self, tmp_path):
         assert run(["gen", "--k", "4", "--out", str(tmp_path / "x.bin")]) == 1
+
+    def test_omitted_options_take_the_spec_defaults(self, tmp_path):
+        path, ref = tmp_path / "a.bin", tmp_path / "ref.bin"
+        args = ["gen", "--k", "4", "--d", "4", "--samples-per-id", "3", "--noise-kappa", "10.0"]
+        assert run(args + ["--out", str(path)]) == 0
+        spec = synthdata.SynthSpec(k=4, d=4, samples_per_id=3, noise_kappa=10.0)
+        synthdata.save(synthdata.generate(spec), ref)
+        assert path.read_bytes() == ref.read_bytes()
 
 
 class TestTrain:
@@ -135,6 +152,41 @@ class TestTrain:
         )
         assert run(["train", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("section,key", cli._REQUIRED)
+    def test_missing_required_key_is_named(self, tmp_path, dataset_path, capsys, section, key):
+        cfg = write_config(tmp_path / "t.ini", dataset_path, tmp_path / "o", {(section, key): None})
+        assert run(["train", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"usage error: missing [{section}] {key}\n"
+
+    @pytest.mark.parametrize("key", ["anneal_start", "anneal_end"])
+    def test_anneal_bound_without_its_pair_is_usage_error(self, tmp_path, dataset_path, capsys, key):
+        cfg = write_config(tmp_path / "t.ini", dataset_path, tmp_path / "o", {("loss", key): "2"})
+        assert run(["train", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "anneal_start and anneal_end" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ((("train", "lr_schedule"), "4:0.005,1:0.2"), "lr_schedule start epochs"),
+            ((("train", "lr_schedule"), "0:0.1"), "lr_schedule start epochs"),
+            ((("loss", "scale"), "inf"), "scale must be finite"),
+        ],
+    )
+    def test_invalid_value_is_usage_error(self, tmp_path, dataset_path, capsys, override, message):
+        cfg = write_config(tmp_path / "t.ini", dataset_path, tmp_path / "o", dict([override]))
+        assert run(["train", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err and "Traceback" not in err
+
+    def test_diverging_run_is_a_numeric_failure(self, tmp_path, dataset_path, capsys):
+        cfg = write_config(
+            tmp_path / "t.ini", dataset_path, tmp_path / "o", {("train", "lr_schedule"): "1:1e300"}
+        )
+        assert run(["train", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: ") and err.count("\n") == 1
+
     def test_reinit_event_printed(self, tmp_path, dataset_path, capsys):
         out = tmp_path / "run"
         cfg = write_config(
@@ -149,6 +201,51 @@ class TestTrain:
         assert run(["train", str(cfg)]) == 0
         assert "EVENT epoch 2" in capsys.readouterr().out
         assert "EVENT epoch 2" in (out / "train.log").read_text()
+
+
+class TestConfigSchema:
+    def test_keys_are_the_dataclass_fields(self):
+        assert set(cli._SCHEMA["alpha"]) == _names(AlphaParams)
+        assert set(cli._SCHEMA["loss"]) == _names(MarginConfig) - {"anneal"} | {
+            "anneal_start", "anneal_end"
+        }
+        assert set(cli._SCHEMA["train"]) == _names(trainer.TrainConfig) - {"loss", "alpha"}
+
+    def test_required_keys_are_the_fields_without_default(self):
+        required = {("data", "dataset"), ("run", "out_dir")}
+        for section, cls in (("alpha", AlphaParams), ("loss", MarginConfig)):
+            required |= {(section, name) for name in _names(cls, required=True)}
+        required |= {
+            ("train", name)
+            for name in _names(trainer.TrainConfig, required=True) - {"loss", "alpha"}
+        }
+        assert set(cli._REQUIRED) == required
+
+    def test_echo_of_a_minimal_config_round_trips(self, tmp_path):
+        path = tmp_path / "t.ini"
+        path.write_text(
+            "[data]\ndataset = d.bin\n[run]\nout_dir = o\n[alpha]\nalpha = 1.5\n"
+            "[loss]\nmode = a3m\nscale = 16.0\nmargin = 0.2\n"
+            "[train]\nepochs = 3\nbatch_size = 8\nlr_schedule = 1:0.1,3:0.01\n"
+        )
+        parsed, cp = cli.read_train_config(path)
+        cfg = parsed["train"]
+        for section, obj in (("alpha", cfg.alpha), ("train", cfg)):
+            for key in cli._SCHEMA[section]:
+                value = getattr(obj, key)
+                if value is None:
+                    assert not cp.has_option(section, key)
+                elif key != "lr_schedule":
+                    assert cp.get(section, key) == repr(value)
+        echo = tmp_path / "echo.ini"
+        with open(echo, "w") as fh:
+            cp.write(fh)
+        again, _ = cli.read_train_config(echo)
+        assert again == parsed
+        assert cfg == trainer.TrainConfig(
+            epochs=3, batch_size=8, lr_schedule=[(1, 0.1), (3, 0.01)],
+            loss=MarginConfig(scale=16.0, margin=0.2, mode="a3m"), alpha=AlphaParams(1.5),
+        )
 
 
 class TestEval:

@@ -54,6 +54,11 @@ class TestMarginConfig:
         with pytest.raises(ValueError):
             AnnealSchedule(start_epoch=5, end_epoch=5)
 
+    @pytest.mark.parametrize("scale", [np.inf, np.nan])
+    def test_scale_must_be_finite(self, scale):
+        with pytest.raises(ValueError, match="scale must be finite"):
+            MarginConfig(scale=scale, margin=0.1, mode="cosface")
+
     def test_q_margin_rejects_a_target_weight_below_the_normal_range(self):
         # exp(-s*m) must be a normal double: s*m <= -ln(tiny) ~ 708.3964
         with warnings.catch_warnings():

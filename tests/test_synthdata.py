@@ -102,6 +102,14 @@ class TestBinaryIO:
         with pytest.raises(DataFormatError, match="truncated"):
             load(path)
 
+    def test_trailing_bytes(self, tmp_path):
+        ds = generate(spec())
+        path = tmp_path / "ds.bin"
+        save(ds, path)
+        path.write_bytes(path.read_bytes() + bytes(13))
+        with pytest.raises(DataFormatError, match="13 trailing bytes"):
+            load(path)
+
     def test_bad_magic(self, tmp_path):
         ds = generate(spec())
         path = tmp_path / "ds.bin"

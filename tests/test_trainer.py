@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from alphamargin import trainer
 from alphamargin.core import AlphaParams
 from alphamargin.errors import DataFormatError
 from alphamargin.losses import AnnealSchedule, MarginConfig
@@ -103,6 +104,26 @@ class TestBackwardStep:
             p[coord] = old
             num = (up - down) / (2 * h)
             assert num == pytest.approx(grads[name][coord], rel=1e-3, abs=1e-7)
+
+    def test_forward_is_embed_then_forward_cosines(self, monkeypatch):
+        # the loss sees the cosines of embed()'s embeddings, bit for bit
+        rng = np.random.default_rng(3)
+        ds = small_dataset()
+        model = init_model(ds.d, 8, ds.d, ds.k, rng)
+        X, ys = ds.points[:8], ds.labels[:8]
+        seen = []
+
+        def spy(embeddings, prototypes):
+            seen.append((embeddings, prototypes))
+            return forward_cosines(embeddings, prototypes)
+
+        monkeypatch.setattr(trainer, "forward_cosines", spy)
+        cfg = config()
+        loss_and_grads(model, X, ys, cfg.loss, cfg.alpha)
+        (E, W), = seen
+        np.testing.assert_array_equal(E, embed(model, X))
+        norms = np.linalg.norm(model.prototypes, axis=1, keepdims=True)
+        np.testing.assert_array_equal(W, model.prototypes / norms)
 
     def test_nonfinite_gradient_aborts(self):
         rng = np.random.default_rng(3)
@@ -241,6 +262,13 @@ class TestTrain:
         with pytest.raises(ValueError):
             config(epochs=3, reinit_epoch=3)
 
+    @pytest.mark.parametrize(
+        "schedule", [[(4, 0.005), (1, 0.2)], [(1, 0.2), (1, 0.1)], [(0, 0.1)], [(-2, 0.1)]]
+    )
+    def test_lr_schedule_starts_must_be_positive_and_increasing(self, schedule):
+        with pytest.raises(ValueError, match="lr_schedule start epochs"):
+            config(lr_schedule=schedule)
+
 
 class TestCheckpointIO:
     def test_round_trip(self, tmp_path, rng):
@@ -258,6 +286,14 @@ class TestCheckpointIO:
         raw = path.read_bytes()
         path.write_bytes(raw[:-8])
         with pytest.raises(DataFormatError):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_detected(self, tmp_path, rng):
+        model = init_model(6, 16, 8, 10, rng)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(model, path)
+        path.write_bytes(path.read_bytes() + bytes(13))
+        with pytest.raises(DataFormatError, match="13 trailing bytes"):
             load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path, rng):
