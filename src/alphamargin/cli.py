@@ -66,18 +66,20 @@ _SCHEMA = {
     "run": {"out_dir": str},
 }
 
-_REQUIRED = (
-    ("data", "dataset"), ("run", "out_dir"), ("alpha", "alpha"),
-    ("loss", "mode"), ("loss", "scale"), ("loss", "margin"),
+# The keys that build the TrainConfig, which `stats` reads too.
+_MODEL_REQUIRED = (
+    ("alpha", "alpha"), ("loss", "mode"), ("loss", "scale"), ("loss", "margin"),
     ("train", "epochs"), ("train", "batch_size"), ("train", "lr_schedule"),
 )
+_REQUIRED = (("data", "dataset"), ("run", "out_dir")) + _MODEL_REQUIRED
 
 
-def read_train_config(path):
+def read_train_config(path, required=_REQUIRED):
     """Parse and validate a train config. Unknown sections or keys are
-    rejected; omitted optional keys take their dataclass defaults, which are
-    written into the returned ConfigParser for the echo. Returns (parsed dict,
-    effective ConfigParser)."""
+    rejected, and a missing key of `required` is named; omitted optional keys
+    take their dataclass defaults, which are written into the returned
+    ConfigParser for the echo. Returns (parsed dict, effective ConfigParser);
+    the dict's dataset and out_dir are None when the config omits them."""
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise DataFormatError(f"cannot read config file {path}")
@@ -87,7 +89,7 @@ def read_train_config(path):
         for key in cp[section]:
             if key not in _SCHEMA[section]:
                 raise UsageError(f"unknown key {key!r} in section [{section}]")
-    for section, key in _REQUIRED:
+    for section, key in required:
         if not cp.has_option(section, key):
             raise UsageError(f"missing [{section}] {key}")
     if cp.has_option("loss", "anneal_start") != cp.has_option("loss", "anneal_end"):
@@ -113,8 +115,8 @@ def read_train_config(path):
             value = getattr(obj, key)
             if not cp.has_option(section, key) and value is not None:
                 cp.set(section, key, str(value))
-    return {"dataset": values["data"]["dataset"], "out_dir": values["run"]["out_dir"],
-            "train": train_cfg}, cp
+    return {"dataset": values.get("data", {}).get("dataset"),
+            "out_dir": values.get("run", {}).get("out_dir"), "train": train_cfg}, cp
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +260,7 @@ def cmd_probe(args):
 
 
 def cmd_stats(args):
-    parsed, _ = read_train_config(args.config)
+    parsed, _ = read_train_config(args.config, required=_MODEL_REQUIRED)
     model, dataset = load_model_and_dataset(args.checkpoint, args.dataset)
     cfg = parsed["train"]
     loss_cfg = cfg.loss.with_margin(trainer.annealed_margin(cfg.loss, cfg.epochs))

@@ -7,9 +7,14 @@ it yields (i, j, genuine) rows and .tolist() gives them as Python tuples.
 Impostor pairs are drawn in bulk, and trials are scored SCORE_BLOCK pairs
 at a time, so scoring holds O(n_trials + SCORE_BLOCK * d) memory.
 
-The FRR@FAR and DET sweeps are O(n log n): the scores are sorted once and
-FAR(t) and FRR(t) counted at every threshold by binary search. The DET
-sweep is an (m, 3) float array, written to CSV column by column.
+The FRR@FAR and DET sweeps are O(n log n): each score set is sorted once,
+however many sweeps read it, and FAR(t) and FRR(t) are counted at every
+threshold by binary search. The DET sweep is an (m, 3) float array, written
+to CSV SCORE_BLOCK rows at a time, column by column.
+
+The sparsity report solves backend.BLOCK_ROWS rows at a time and keeps two
+numbers per row (p_y = 0, nonzeros), so it holds O(n + BLOCK_ROWS * k)
+memory and never an (n, k) cosine, logit or posterior matrix.
 
 Tie handling: impostor scores equal to the threshold count as accepted
 (>= comparison). Thresholds are observed scores. FAR targets below
@@ -18,23 +23,44 @@ UnattainableFARError instead of extrapolating.
 """
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import losses
+from . import backend, losses
 from .errors import UnattainableFARError
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrialScoreSet:
+    """Genuine and impostor scores. Frozen: the sweeps share sorts computed
+    once per score set."""
+
     genuine: np.ndarray
     impostor: np.ndarray
 
     def __post_init__(self):
-        self.genuine = np.asarray(self.genuine, dtype=np.float64)
-        self.impostor = np.asarray(self.impostor, dtype=np.float64)
+        for name in ("genuine", "impostor"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if not (np.all(np.isfinite(self.genuine)) and np.all(np.isfinite(self.impostor))):
             raise ValueError("trial scores must be finite")
+
+    @cached_property
+    def _sorted(self):
+        """(genuine, impostor), each sorted ascending."""
+        return np.sort(self.genuine), np.sort(self.impostor)
+
+    @cached_property
+    def _impostor_sweep(self):
+        """The distinct impostor scores ascending, and FAR and FRR at each.
+
+        The scores are np.unique(impostor) bit for bit, the ±0.0
+        representative included: np.unique keeps the first of each run of
+        equal values of the same sort.
+        """
+        imp = self._sorted[1]
+        thresholds = imp[np.r_[True, imp[1:] != imp[:-1]]]
+        return (thresholds, *_far_frr(self, thresholds))
 
 
 @dataclass
@@ -54,8 +80,9 @@ TRIAL_DTYPE = np.dtype([("i", np.int64), ("j", np.int64), ("genuine", np.bool_)]
 # Indices that do not fit int64 keep their Python ints; no embedding set is that large.
 _WIDE_TRIAL_DTYPE = np.dtype([("i", object), ("j", object), ("genuine", np.bool_)])
 
-# Pairs scored per stacked matmul; bounds score_trials' (block, d) gathers.
-SCORE_BLOCK = 1 << 16
+# Pairs scored per stacked matmul, and DET rows formatted per write: bounds
+# score_trials' two (block, d) gathers and write_det_csv's strings.
+SCORE_BLOCK = 1 << 12
 
 
 def as_trials(rows):
@@ -141,8 +168,7 @@ def _far_frr(scores, thresholds):
     """FAR(t) = #{impostor >= t} / n_imp and FRR(t) = #{genuine < t} / n_gen
     at each threshold, by binary search in the sorted scores. Exact counts
     over n, so bitwise the mean of the boolean masks."""
-    genuine = np.sort(scores.genuine)
-    impostor = np.sort(scores.impostor)
+    genuine, impostor = scores._sorted
     n_imp = len(impostor)
     far = (n_imp - np.searchsorted(impostor, thresholds, "left")) / n_imp
     frr = np.searchsorted(genuine, thresholds, "left") / len(genuine)
@@ -164,8 +190,7 @@ def frr_at_far(scores: TrialScoreSet, far_target: float):
         raise UnattainableFARError(
             f"FAR target {far_target:g} is below the 1/{n_imp} resolution of the impostor set"
         )
-    thresholds = np.unique(scores.impostor)
-    far, frr = _far_frr(scores, thresholds)
+    thresholds, far, frr = scores._impostor_sweep
     hit = np.flatnonzero(far <= far_target)
     if hit.size == 0:
         # a duplicated maximum impostor score can leave every candidate above target
@@ -198,12 +223,16 @@ def _float_reprs(col):
 def write_det_csv(rows, path):
     """CSV with a header and repr-formatted (far, frr, threshold) rows, byte
     for byte what csv.writer writes: a float repr never needs quoting; lines
-    end in CRLF. Formatted by column; frr takes few distinct values."""
+    end in CRLF. Formatted by column, SCORE_BLOCK rows at a time; frr takes
+    few distinct values."""
     far, frr, t = np.asarray(rows, dtype=np.float64).reshape(-1, 3).T
-    cols = (list(map(repr, far.tolist())), _float_reprs(frr),
-            list(map(repr, t.tolist())))
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(["far,frr,threshold", *map(",".join, zip(*cols))]) + "\r\n")
+        fh.write("far,frr,threshold\r\n")
+        for start in range(0, len(far), SCORE_BLOCK):
+            blk = slice(start, start + SCORE_BLOCK)
+            cols = (list(map(repr, far[blk].tolist())), _float_reprs(frr[blk]),
+                    list(map(repr, t[blk].tolist())))
+            fh.write("\r\n".join(map(",".join, zip(*cols))) + "\r\n")
 
 
 def avg_relative_improvement(det_ours, det_base, far_lo, far_hi, n_grid=50):
@@ -214,8 +243,7 @@ def avg_relative_improvement(det_ours, det_base, far_lo, far_hi, n_grid=50):
     """
 
     def interp(det, grid):
-        fars = np.array([r[0] for r in det])
-        frrs = np.array([r[1] for r in det])
+        fars, frrs = np.asarray(det, dtype=np.float64).reshape(-1, 3)[:, :2].T
         order = np.argsort(fars)
         return np.interp(grid, fars[order], frrs[order])
 
@@ -233,16 +261,20 @@ def sparsity_report(embeddings, labels, prototypes, loss_cfg, params) -> Sparsit
 
     Zeros are exact zeros from the solver's clip; no epsilon pruning. For the
     dense baseline losses every statistic except onehot_fraction is zero by
-    construction.
+    construction. Rows are solved backend.BLOCK_ROWS at a time; each keeps
+    only whether p_y = 0 and its count of nonzeros.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
-    labels = np.asarray(labels)
-    C = embeddings @ prototypes.T
-    P = losses.batch_posteriors(C, labels, loss_cfg, params)
-    n, k = P.shape
-    rows = np.arange(n)
-    py_zero = P[rows, labels] == 0.0
-    nnz = np.count_nonzero(P, axis=1)
+    prototypes = np.asarray(prototypes)
+    n, k = len(embeddings), len(prototypes)
+    labels = losses._check_labels(labels, (n, k))
+    py_zero = np.empty(n, dtype=bool)
+    nnz = np.empty(n, dtype=np.intp)
+    for start in range(0, n, backend.BLOCK_ROWS):
+        blk = slice(start, start + backend.BLOCK_ROWS)
+        P = losses.batch_posteriors(embeddings[blk] @ prototypes.T, labels[blk], loss_cfg, params)
+        py_zero[blk] = P[np.arange(len(P)), labels[blk]] == 0.0
+        nnz[blk] = np.count_nonzero(P, axis=1)
     misaligned_images = float(np.mean(py_zero))
     # an identity is misaligned when none of its images is aligned (p_y > 0)
     present = np.bincount(labels, minlength=k) > 0

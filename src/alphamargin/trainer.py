@@ -234,12 +234,17 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
             loss_cfg = cfg.loss.with_margin(annealed_margin(cfg.loss, epoch))
             order = rng.permutation(dataset.n)
             epoch_loss = 0.0
-            for lo in range(0, dataset.n, cfg.batch_size):
+            for batch, lo in enumerate(range(0, dataset.n, cfg.batch_size), 1):
                 idx = order[lo : lo + cfg.batch_size]
-                mean_loss, grads, _ = loss_and_grads(
-                    model, dataset.points[idx], dataset.labels[idx], loss_cfg, cfg.alpha
-                )
-                sgd_step(model, grads, state, lr, cfg.momentum, cfg.weight_decay)
+                try:
+                    mean_loss, grads, _ = loss_and_grads(
+                        model, dataset.points[idx], dataset.labels[idx], loss_cfg, cfg.alpha
+                    )
+                    sgd_step(model, grads, state, lr, cfg.momentum, cfg.weight_decay)
+                except FloatingPointError as exc:
+                    raise FloatingPointError(
+                        f"training diverged at epoch {epoch}, batch {batch} (lr {lr!r}): {exc}"
+                    ) from exc
                 epoch_loss += mean_loss * len(idx)
             epoch_loss /= dataset.n
 

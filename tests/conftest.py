@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from alphamargin import losses
 from alphamargin.errors import SolverError, UnattainableFARError
-from alphamargin.evalkit import TrialScoreSet
+from alphamargin.evalkit import SparsityReport, TrialScoreSet
 
 
 def sparsemax_oracle(z):
@@ -168,6 +171,46 @@ def det_points_loop_reference(scores):
         frr = float(np.mean(scores.genuine < t))
         rows.append((far, frr, float(t)))
     return rows
+
+
+# The sparsity report as it was before it streamed row blocks, kept verbatim
+# (one (n, k) cosine, logit and posterior matrix): the oracle of the parity
+# tests in test_evalkit.py.
+
+def sparsity_report_dense_reference(embeddings, labels, prototypes, loss_cfg, params):
+    embeddings = np.asarray(embeddings, dtype=np.float64)
+    labels = np.asarray(labels)
+    C = embeddings @ prototypes.T
+    P = losses.batch_posteriors(C, labels, loss_cfg, params)
+    n, k = P.shape
+    rows = np.arange(n)
+    py_zero = P[rows, labels] == 0.0
+    nnz = np.count_nonzero(P, axis=1)
+    misaligned_images = float(np.mean(py_zero))
+    # an identity is misaligned when none of its images is aligned (p_y > 0)
+    present = np.bincount(labels, minlength=k) > 0
+    aligned = np.bincount(labels[~py_zero], minlength=k)
+    return SparsityReport(
+        misaligned_identity_fraction=float(np.mean(aligned[present] == 0)),
+        misaligned_image_fraction=misaligned_images,
+        posterior_sparsity=float(np.mean((k - nnz) / k)),
+        onehot_fraction=float(np.mean(nnz == 1)),
+    )
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), peak bytes allocated while it ran, above what was allocated
+    when it started), measured by tracemalloc. numpy reports its array buffers
+    to tracemalloc, so the peak covers the arrays fn builds."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
 
 def cosface_recovery_draws():
     """The 1000 (k, c, y, s, m) draws of acceptance criterion 3b, in order."""

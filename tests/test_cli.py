@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -186,6 +187,10 @@ class TestTrain:
         assert run(["train", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: ") and err.count("\n") == 1
+        # where it diverged, and at which rate: the 64 samples make 4 batches of 16
+        assert re.match(
+            r"numeric failure: training diverged at epoch 1, batch [1-4] \(lr 1e\+300\): \S", err
+        ), err
 
     def test_reinit_event_printed(self, tmp_path, dataset_path, capsys):
         out = tmp_path / "run"
@@ -501,6 +506,29 @@ class TestStats:
             ]
         )
         _assert_dimension_data_error(code, capsys, other)
+
+    def test_config_needs_only_the_model_keys(self, tmp_path, dataset_path, capsys):
+        # stats takes --dataset and writes nothing: [data] dataset and [run]
+        # out_dir may be left out, which train still refuses
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "t.ini", dataset_path, out)
+        assert run(["train", str(cfg)]) == 0
+        stats = ["stats", "--checkpoint", str(out / "checkpoint.bin"), "--dataset", str(dataset_path)]
+        capsys.readouterr()
+        assert run(stats + ["--config", str(cfg)]) == 0
+        want = capsys.readouterr().out
+        drops = [[("data", "dataset")], [("run", "out_dir")], [("data", "dataset"), ("run", "out_dir")]]
+        for drop in drops:
+            lean = write_config(tmp_path / "lean.ini", dataset_path, out, dict.fromkeys(drop))
+            assert run(stats + ["--config", str(lean)]) == 0
+            assert capsys.readouterr().out == want
+            assert run(["train", str(lean)]) == 1
+            section, key = drop[0]
+            assert capsys.readouterr().err == f"usage error: missing [{section}] {key}\n"
+        for section, key in cli._MODEL_REQUIRED:
+            bad = write_config(tmp_path / "bad.ini", dataset_path, out, {(section, key): None})
+            assert run(stats + ["--config", str(bad)]) == 1
+            assert capsys.readouterr().err == f"usage error: missing [{section}] {key}\n"
 
     def test_json_report(self, tmp_path, dataset_path, capsys):
         out = tmp_path / "run"

@@ -7,8 +7,11 @@ from conftest import (
     frr_at_far_loop_reference,
     make_trials_loop_reference,
     score_trials_loop_reference,
+    sparsity_report_dense_reference,
+    traced_peak,
 )
 
+from alphamargin import backend, evalkit
 from alphamargin.core import AlphaParams
 from alphamargin.errors import UnattainableFARError
 from alphamargin.evalkit import (
@@ -24,7 +27,7 @@ from alphamargin.evalkit import (
     sparsity_report,
     write_det_csv,
 )
-from alphamargin.losses import MarginConfig, batch_posteriors
+from alphamargin.losses import MODES, MarginConfig, batch_posteriors
 
 
 def scores(genuine, impostor):
@@ -262,6 +265,107 @@ class TestSparsityReport:
             assert 0.0 < want < 1.0
 
 
+def _report_case(n, k=40, d=16, seed=0):
+    """Unit embeddings scattered around the prototypes of their labels: a mix
+    of aligned, misaligned and one-hot rows under the margin losses."""
+    rng = np.random.default_rng(seed)
+    W = rng.standard_normal((k, d))
+    W /= np.linalg.norm(W, axis=1, keepdims=True)
+    labels = rng.integers(0, k, n)
+    E = W[labels] + 0.35 * rng.standard_normal((n, d))
+    E /= np.linalg.norm(E, axis=1, keepdims=True)
+    return E, labels, W
+
+
+class TestSparsityReportStreaming:
+    """The row-block report against the dense one it replaced (tests/conftest.py)."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "n", [1, backend.BLOCK_ROWS - 1, backend.BLOCK_ROWS, 2 * backend.BLOCK_ROWS + 1]
+    )
+    def test_matches_the_dense_report(self, mode, n):
+        E, labels, W = _report_case(n)
+        cfg = MarginConfig(scale=32.0, margin=0.3, mode=mode)
+        params = AlphaParams(1.5)
+        got = sparsity_report(E, labels, W, cfg, params).to_dict()
+        want = sparsity_report_dense_reference(E, labels, W, cfg, params).to_dict()
+        assert {key: repr(v) for key, v in got.items()} == {key: repr(v) for key, v in want.items()}
+        if mode in ("q_margin", "a3m") and n > 1:
+            # the case reads zeros both ways: p_y = 0 on some rows, one-hot rows
+            assert 0.0 < got["misaligned_image_fraction"] < 1.0
+            assert 0.0 < got["onehot_fraction"] < 1.0
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_small_blocks(self, monkeypatch, mode):
+        # 7-row blocks over 295 rows: 42 full blocks and a 1-row tail
+        E, labels, W = _report_case(295, seed=1)
+        cfg = MarginConfig(scale=32.0, margin=0.3, mode=mode)
+        params = AlphaParams(1.25)
+        want = sparsity_report_dense_reference(E, labels, W, cfg, params)
+        calls = []
+        real = batch_posteriors
+
+        def counting(C, *args):
+            calls.append(len(C))
+            return real(C, *args)
+
+        monkeypatch.setattr(backend, "BLOCK_ROWS", 7)
+        monkeypatch.setattr(evalkit.losses, "batch_posteriors", counting)
+        got = sparsity_report(E, labels, W, cfg, params)
+        assert calls == [7] * 42 + [1]
+        assert repr(got.to_dict()) == repr(want.to_dict())
+
+    def test_bad_labels_are_rejected_as_before(self):
+        E, labels, W = _report_case(300)
+        cfg = MarginConfig(scale=32.0, margin=0.3, mode="q_margin")
+        params = AlphaParams(1.5)
+        for bad in (labels[:-1], np.r_[labels, 0], np.r_[labels[:-1], 40]):
+            got = _outcome(sparsity_report, E, bad, W, cfg, params)
+            assert got[0] in (ValueError, IndexError)
+            assert got == _outcome(sparsity_report_dense_reference, E, bad, W, cfg, params)
+
+    @pytest.mark.parametrize("mode", ["q_margin", "cosface"])
+    def test_memory_is_a_few_blocks(self, mode):
+        # one (4000, 1000) float64 array is 32 MB, and the dense report held
+        # four; the blocks and the solver's temporaries hold about 12 MB here
+        n, k = 4000, 1000
+        E, labels, W = _report_case(n, k=k)
+        cfg = MarginConfig(scale=32.0, margin=0.2, mode=mode)
+        _, peak = traced_peak(sparsity_report, E, labels, W, cfg, AlphaParams(1.25))
+        assert peak < n * k * 8 / 2, peak
+
+
+class TestEvalWorkingSet:
+    """score_trials and write_det_csv hold O(SCORE_BLOCK) rows of work beyond
+    their O(n) inputs and outputs."""
+
+    def test_score_trials_peak_does_not_grow_with_the_trials(self):
+        d = 64
+        rng = np.random.default_rng(2)
+        E = rng.standard_normal((500, d))
+        E /= np.linalg.norm(E, axis=1, keepdims=True)
+        labels = rng.integers(0, 50, 500)
+        small, large = 4 * SCORE_BLOCK, 16 * SCORE_BLOCK
+        peaks = []
+        for n in (small, large):
+            trials = make_trials(labels, n // 10, n - n // 10, seed=3)
+            peaks.append(traced_peak(score_trials, E, trials)[1])
+        # a whole-set gather would add 2 * d * 8 = 1024 bytes per trial; the
+        # per-trial part left is the scores, masks and index views
+        assert (peaks[1] - peaks[0]) / (large - small) < 64, peaks
+        assert peaks[0] < 2 * SCORE_BLOCK * d * 8 + 64 * small, peaks
+
+    def test_write_det_csv_peak_does_not_grow_with_the_rows(self, tmp_path):
+        rng = np.random.default_rng(4)
+        peaks = []
+        for m in (2 * SCORE_BLOCK, 8 * SCORE_BLOCK):
+            rows = np.column_stack([np.sort(rng.random(m)), rng.random(m), rng.random(m)])
+            peaks.append(traced_peak(write_det_csv, rows, tmp_path / "det.csv")[1])
+        # every repr of the large set at once would be tens of MB
+        assert peaks[1] < 1.5 * peaks[0] and peaks[1] < 4 << 20, peaks
+
+
 def _outcome(fn, *args):
     """The result of fn(*args), or the type and message of what it raised."""
     try:
@@ -343,9 +447,15 @@ class TestMatchesLoopReference:
             # runs of equal frr values split by signed zeros and a nan
             [(0.0, -0.0, 1.0), (0.5, -0.0, 0.5), (0.5, 0.0, -0.0), (1.0, 0.0, -0.5),
              (1.0, float("nan"), 0.25), (1.0, 0.5, 0.125), (1.0, 0.5, 0.1)],
+            # chunks of SCORE_BLOCK rows: equal-frr runs and a signed zero across the seam
+            np.column_stack([
+                np.linspace(0.0, 1.0, SCORE_BLOCK + 3),
+                np.r_[np.repeat(0.25, SCORE_BLOCK - 2), -0.0, 0.0, 0.0, 0.0, 0.5],
+                np.linspace(1.0, -1.0, SCORE_BLOCK + 3),
+            ]),
             [],
         ],
-        ids=["det_array", "det_rows", "signed_zero_runs", "empty"],
+        ids=["det_array", "det_rows", "signed_zero_runs", "across_chunks", "empty"],
     )
     def test_write_det_csv(self, tmp_path, rows):
         # formatted by column and frr run by run; the bytes are csv.writer's
