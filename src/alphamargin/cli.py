@@ -215,10 +215,7 @@ def cmd_eval(args):
         except ValueError as exc:
             raise DataFormatError(f"{args.dataset}: {exc}") from exc
     embeddings = trainer.embed(model, dataset.points)
-    try:
-        scores = evalkit.score_trials(embeddings, trials)
-    except IndexError as exc:
-        raise DataFormatError(str(exc)) from exc
+    scores = evalkit.score_trials(embeddings, trials)
     det = evalkit.det_points(scores)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -262,6 +259,11 @@ def cmd_probe(args):
 def cmd_stats(args):
     parsed, _ = read_train_config(args.config, required=_MODEL_REQUIRED)
     model, dataset = load_model_and_dataset(args.checkpoint, args.dataset)
+    k = model.prototypes.shape[0]
+    if dataset.k != k:
+        raise DataFormatError(
+            f"{args.dataset}: {dataset.k} identities, but {args.checkpoint} has {k} prototypes"
+        )
     cfg = parsed["train"]
     loss_cfg = cfg.loss.with_margin(trainer.annealed_margin(cfg.loss, cfg.epochs))
     report = evalkit.sparsity_report(

@@ -1,8 +1,10 @@
 """Synthetic identity datasets on the unit sphere, with optional long-tail
-(few-shot) identities, plus binary/CSV dataset I/O."""
+(few-shot) identities, plus binary/CSV dataset I/O on a framing checkpoints share."""
 
+import math
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -11,6 +13,7 @@ from .errors import DataFormatError
 
 _MAGIC = b"SYND"
 _VERSION = 1
+_HEADER = "<IQII"  # version, N, d, k
 
 
 @dataclass(frozen=True)
@@ -59,9 +62,8 @@ def _unit_rows(x):
     return x / np.linalg.norm(x, axis=-1, keepdims=True)
 
 
-def _identity_means(spec):
+def _identity_means(spec, rng):
     # first draw of the spec.seed stream, shared by generate/generate_heldout
-    rng = np.random.default_rng(spec.seed)
     return _unit_rows(rng.standard_normal((spec.k, spec.d)))
 
 
@@ -85,7 +87,7 @@ def generate(spec: SynthSpec) -> Dataset:
     """Identity means uniform on the sphere; samples are mean + Gaussian noise,
     re-normalized. Deterministic under spec.seed."""
     rng = np.random.default_rng(spec.seed)
-    means = _unit_rows(rng.standard_normal((spec.k, spec.d)))
+    means = _identity_means(spec, rng)
     counts = _per_id_counts(spec, rng)
     points, labels = _sample(means, counts, spec.noise_kappa, rng)
     return Dataset(points=points, labels=labels, id_counts=counts)
@@ -94,42 +96,59 @@ def generate(spec: SynthSpec) -> Dataset:
 def generate_heldout(spec: SynthSpec, per_id: int) -> Dataset:
     """Fresh samples from the same identity means, from an independent noise
     stream; used for held-out verification trials."""
-    means = _identity_means(spec)
+    means = _identity_means(spec, np.random.default_rng(spec.seed))
     rng = np.random.default_rng([spec.seed, 0x5EED])
     counts = np.full(spec.k, per_id, dtype=np.int64)
     points, labels = _sample(means, counts, spec.noise_kappa, rng)
     return Dataset(points=points, labels=labels, id_counts=counts)
 
 
-def save(dataset: Dataset, path):
-    """Binary format: magic, version u32, N u64, d u32, k u32, then points as
-    little-endian float64 row-major, then labels as little-endian int32."""
+def write_framed(path, magic, header_fmt, header, arrays):
+    """Magic, the header packed with header_fmt (version first), then each array's bytes."""
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IQII", _VERSION, dataset.n, dataset.d, dataset.k))
-        fh.write(np.ascontiguousarray(dataset.points, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(dataset.labels, dtype="<i4").tobytes())
+        fh.write(magic + struct.pack(header_fmt, *header))
+        for array, dtype in arrays:
+            fh.write(np.ascontiguousarray(array, dtype=dtype).tobytes())
 
 
-def load(path) -> Dataset:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    header = struct.calcsize("<IQII")
-    if len(raw) < 4 + header:
-        raise DataFormatError(f"{path}: file too short for a dataset header")
-    if raw[:4] != _MAGIC:
-        raise DataFormatError(f"{path}: bad magic {raw[:4]!r}")
-    version, n, d, k = struct.unpack_from("<IQII", raw, 4)
-    if version != _VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version}")
-    off = 4 + header
-    need = off + n * d * 8 + n * 4
+def read_framed(path, magic, version, header_fmt, layout, what):
+    """Read a write_framed file whole: (header fields after the version, arrays). layout(*fields)
+    gives each array's (shape, dtype); another magic, version or size is a DataFormatError."""
+    raw = Path(path).read_bytes()
+    off = len(magic) + struct.calcsize(header_fmt)
+    if len(raw) < off:
+        raise DataFormatError(f"{path}: file too short for a {what} header")
+    if raw[: len(magic)] != magic:
+        raise DataFormatError(f"{path}: bad magic {raw[:len(magic)]!r}")
+    file_version, *fields = struct.unpack_from(header_fmt, raw, len(magic))
+    if file_version != version:
+        raise DataFormatError(f"{path}: unsupported version {file_version}")
+    # sizes in Python ints, which cannot wrap whatever the header says
+    specs = [(shape, np.dtype(dtype), math.prod(shape)) for shape, dtype in layout(*fields)]
+    need = off + sum(count * dtype.itemsize for _, dtype, count in specs)
     if len(raw) < need:
         raise DataFormatError(f"{path}: truncated ({len(raw)} bytes, expected {need})")
     if len(raw) > need:
-        raise DataFormatError(f"{path}: {len(raw) - need} trailing bytes after the dataset")
-    points = np.frombuffer(raw, dtype="<f8", count=n * d, offset=off).reshape(n, d).copy()
-    labels = np.frombuffer(raw, dtype="<i4", count=n, offset=off + n * d * 8).astype(np.int64)
+        raise DataFormatError(f"{path}: {len(raw) - need} trailing bytes after the {what}")
+    arrays = []
+    for shape, dtype, count in specs:
+        arrays.append(np.frombuffer(raw, dtype, count, off).reshape(shape).copy())
+        off += count * dtype.itemsize
+    return fields, arrays
+
+
+def save(dataset: Dataset, path):
+    """Binary format: magic, version u32, N u64, d u32, k u32, then points as
+    little-endian float64 row-major, then labels as little-endian int32."""
+    header = (_VERSION, dataset.n, dataset.d, dataset.k)
+    write_framed(path, _MAGIC, _HEADER, header, [(dataset.points, "<f8"), (dataset.labels, "<i4")])
+
+
+def load(path) -> Dataset:
+    (n, d, k), (points, labels) = read_framed(
+        path, _MAGIC, _VERSION, _HEADER, lambda n, d, k: [((n, d), "<f8"), ((n,), "<i4")], "dataset"
+    )
+    labels = labels.astype(np.int64)
     if n and (labels.min() < 0 or labels.max() >= k):
         raise DataFormatError(f"{path}: label out of range for k={k}")
     id_counts = np.bincount(labels, minlength=k)

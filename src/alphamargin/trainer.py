@@ -9,21 +9,20 @@ back to the unit sphere after every step.
 """
 
 import logging
-import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from . import evalkit
+from . import evalkit, synthdata
 from .core import AlphaParams
-from .errors import DataFormatError
 from .losses import MarginConfig, batch_loss_and_cosine_grad
 
 log = logging.getLogger(__name__)
 
 _CKPT_MAGIC = b"AMCK"
 _CKPT_VERSION = 1
+_CKPT_HEADER = "<IIIII"  # version, d_in, hidden, d_emb, k
 
 # growth constant of the exponential margin ramp
 _ANNEAL_RATE = 4.0
@@ -55,6 +54,8 @@ class TrainConfig:
             raise ValueError(f"lr_schedule start epochs must be >= 1 and increasing, got {starts}")
         if self.reinit_epoch is not None and not 0 < self.reinit_epoch < self.epochs:
             raise ValueError("reinit_epoch must lie strictly inside the epoch range")
+        if self.hidden_dim < 1 or (self.embed_dim is not None and self.embed_dim < 1):
+            raise ValueError("hidden_dim and embed_dim must be >= 1")
 
 
 @dataclass
@@ -295,36 +296,17 @@ def save_checkpoint(model: Model, path):
     """Flat binary: magic, version u32, dims (d_in, hidden, d_emb, k) as u32,
     then w1, b1, w2, b2, prototypes as little-endian float64."""
     hidden, d_in = model.w1.shape
-    d_emb = model.w2.shape[0]
-    k = model.prototypes.shape[0]
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<IIIII", _CKPT_VERSION, d_in, hidden, d_emb, k))
-        for name in Model.PARAM_NAMES:
-            fh.write(np.ascontiguousarray(getattr(model, name), dtype="<f8").tobytes())
+    header = (_CKPT_VERSION, d_in, hidden, model.w2.shape[0], model.prototypes.shape[0])
+    arrays = [(array, "<f8") for array in model.params().values()]
+    synthdata.write_framed(path, _CKPT_MAGIC, _CKPT_HEADER, header, arrays)
+
+
+def _checkpoint_layout(d_in, hidden, d_emb, k):  # the Model.PARAM_NAMES arrays, in order
+    return [(s, "<f8") for s in [(hidden, d_in), (hidden,), (d_emb, hidden), (d_emb,), (k, d_emb)]]
 
 
 def load_checkpoint(path) -> Model:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    header = struct.calcsize("<IIIII")
-    if len(raw) < 4 + header:
-        raise DataFormatError(f"{path}: file too short for a checkpoint header")
-    if raw[:4] != _CKPT_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {raw[:4]!r}")
-    version, d_in, hidden, d_emb, k = struct.unpack_from("<IIIII", raw, 4)
-    if version != _CKPT_VERSION:
-        raise DataFormatError(f"{path}: unsupported version {version}")
-    shapes = [(hidden, d_in), (hidden,), (d_emb, hidden), (d_emb,), (k, d_emb)]
-    need = 4 + header + sum(int(np.prod(s)) for s in shapes) * 8
-    if len(raw) < need:
-        raise DataFormatError(f"{path}: truncated ({len(raw)} bytes, expected {need})")
-    if len(raw) > need:
-        raise DataFormatError(f"{path}: {len(raw) - need} trailing bytes after the checkpoint")
-    off = 4 + header
-    arrays = {}
-    for name, shape in zip(Model.PARAM_NAMES, shapes):
-        count = int(np.prod(shape))
-        arrays[name] = np.frombuffer(raw, dtype="<f8", count=count, offset=off).reshape(shape).copy()
-        off += count * 8
-    return Model(**arrays)
+    _, arrays = synthdata.read_framed(
+        path, _CKPT_MAGIC, _CKPT_VERSION, _CKPT_HEADER, _checkpoint_layout, "checkpoint"
+    )
+    return Model(**dict(zip(Model.PARAM_NAMES, arrays)))

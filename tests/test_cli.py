@@ -172,6 +172,9 @@ class TestTrain:
             ((("train", "lr_schedule"), "4:0.005,1:0.2"), "lr_schedule start epochs"),
             ((("train", "lr_schedule"), "0:0.1"), "lr_schedule start epochs"),
             ((("loss", "scale"), "inf"), "scale must be finite"),
+            ((("train", "hidden_dim"), "-1"), "hidden_dim and embed_dim must be >= 1"),
+            ((("train", "hidden_dim"), "0"), "hidden_dim and embed_dim must be >= 1"),
+            ((("train", "embed_dim"), "0"), "hidden_dim and embed_dim must be >= 1"),
         ],
     )
     def test_invalid_value_is_usage_error(self, tmp_path, dataset_path, capsys, override, message):
@@ -506,6 +509,21 @@ class TestStats:
             ]
         )
         _assert_dimension_data_error(code, capsys, other)
+
+    @pytest.mark.parametrize("k", [6, 9])
+    def test_identity_count_mismatch_is_data_error(self, tmp_path, dataset_path, capsys, k):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "t.ini", dataset_path, out)
+        assert run(["train", str(cfg)]) == 0
+        other = tmp_path / f"k{k}.bin"
+        gen = ["gen", "--k", str(k), "--d", "6", "--samples-per-id", "8", "--noise-kappa", "40.0"]
+        assert run(gen + ["--out", str(other)]) == 0
+        capsys.readouterr()
+        ckpt = out / "checkpoint.bin"
+        code = run(["stats", "--checkpoint", str(ckpt), "--dataset", str(other), "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {other}: {k} identities, but {ckpt} has 8 prototypes\n"
 
     def test_config_needs_only_the_model_keys(self, tmp_path, dataset_path, capsys):
         # stats takes --dataset and writes nothing: [data] dataset and [run]

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,23 @@ class TestBinaryIO:
         path.write_bytes(bytes(raw))
         with pytest.raises(DataFormatError, match="version"):
             load(path)
+
+    def test_huge_n_in_header(self, tmp_path):
+        # N = 2^62 rows of 6 floats and a label: 2^64 * 13 bytes, which int64
+        # arithmetic would wrap to 0, the size of this header-only file
+        path = tmp_path / "ds.bin"
+        path.write_bytes(b"SYND" + struct.pack("<IQII", 1, 2**62, 6, 12))
+        need = 24 + 2**62 * 52
+        with pytest.raises(DataFormatError, match=rf"truncated \(24 bytes, expected {need}\)"):
+            load(path)
+
+    def test_bytes_pin_the_format(self, tmp_path):
+        ds = generate(spec())
+        path = tmp_path / "ds.bin"
+        save(ds, path)
+        want = b"SYND" + struct.pack("<IQII", 1, ds.n, ds.d, ds.k)
+        want += ds.points.astype("<f8").tobytes() + ds.labels.astype("<i4").tobytes()
+        assert path.read_bytes() == want
 
 
 class TestCsvImport:

@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from alphamargin import trainer
+from alphamargin import cli, synthdata, trainer
 from alphamargin.core import AlphaParams
 from alphamargin.errors import DataFormatError
 from alphamargin.losses import AnnealSchedule, MarginConfig
@@ -270,6 +272,11 @@ class TestTrain:
             config(lr_schedule=schedule)
 
 
+# dims (2^32-1, 2^32-1, 1, 1) make 2^64 + 1 floats, whose byte count wraps
+# int64 to exactly the 32 bytes of this file
+_WRAPPING_CHECKPOINT = b"AMCK" + struct.pack("<5I", 1, 2**32 - 1, 2**32 - 1, 1, 1) + bytes(8)
+
+
 class TestCheckpointIO:
     def test_round_trip(self, tmp_path, rng):
         model = init_model(6, 16, 8, 10, rng)
@@ -305,6 +312,43 @@ class TestCheckpointIO:
         path.write_bytes(bytes(raw))
         with pytest.raises(DataFormatError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "corrupt,message",
+        [
+            (
+                lambda raw: _WRAPPING_CHECKPOINT,
+                r"truncated \(32 bytes, expected 147573952589676412960\)",
+            ),
+            (lambda raw: raw[:4] + struct.pack("<I", 2) + raw[8:], "unsupported version 2"),
+            (lambda raw: raw[:23], "file too short for a checkpoint header"),
+        ],
+        ids=["wrapping_dims", "version", "short_header"],
+    )
+    def test_corrupt_header(self, tmp_path, rng, corrupt, message):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(init_model(6, 16, 8, 10, rng), path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(DataFormatError, match=message):
+            load_checkpoint(path)
+
+    def test_wrapping_dims_are_a_data_error_in_eval(self, tmp_path, capsys):
+        ckpt = tmp_path / "ck.bin"
+        ckpt.write_bytes(_WRAPPING_CHECKPOINT)
+        dataset = tmp_path / "ds.bin"
+        synthdata.save(small_dataset(), dataset)
+        args = ["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset)]
+        assert cli.main(args + ["--out-dir", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "truncated" in err and "Traceback" not in err
+
+    def test_bytes_pin_the_format(self, tmp_path, rng):
+        model = init_model(6, 16, 8, 10, rng)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(model, path)
+        arrays = (model.w1, model.b1, model.w2, model.b2, model.prototypes)
+        want = b"AMCK" + struct.pack("<IIIII", 1, 6, 16, 8, 10)
+        assert path.read_bytes() == want + b"".join(a.astype("<f8").tobytes() for a in arrays)
 
 
 def test_metrics_csv_format(tmp_path):
