@@ -353,6 +353,9 @@ def main(argv=None):
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a size asked for by the config, such as a huge hidden_dim
+        print(f"usage error: out of memory ({exc})", file=sys.stderr)
+        return 1
     except (DataFormatError, FileNotFoundError, IndexError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -4,8 +4,10 @@ and the sparsity/misalignment statistics of trained models.
 Trials are one structured array of TRIAL_DTYPE, fields i, j (int64
 embedding indices) and genuine (bool), from sampling to scoring; iterating
 it yields (i, j, genuine) rows and .tolist() gives them as Python tuples.
-Impostor pairs are drawn in bulk, and trials are scored SCORE_BLOCK pairs
-at a time, so scoring holds O(n_trials + SCORE_BLOCK * d) memory.
+Genuine and impostor pairs are drawn in bulk, SCORE_BLOCK genuine pairs at
+a time, and equal those of the per-pair rng.integers + rng.choice loop
+bit for bit. Trials are scored SCORE_BLOCK pairs at a time, so sampling and
+scoring hold O(n_trials + SCORE_BLOCK * d) memory.
 
 The FRR@FAR and DET sweeps are O(n log n): each score set is sorted once,
 however many sweeps read it, and FAR(t) and FRR(t) are counted at every
@@ -98,33 +100,104 @@ def as_trials(rows):
         return np.array(rows, dtype=_WIDE_TRIAL_DTYPE)
 
 
+def _lemire(words, at, r):
+    """numpy's 32-bit Lemire draw in [0, r) (r >= 2) from words[at] on: the
+    index of the word it accepts and the value. A word is rejected while the
+    low half of word * r is below 2**32 % r; a draw that runs past the block
+    stops there, and the caller drops it."""
+    r = np.broadcast_to(np.asarray(r, np.uint64), at.shape)
+    threshold = (1 << 32) % r
+    m = words.take(at, mode="clip") * r
+    bad = np.flatnonzero((m & 0xFFFFFFFF) < threshold)
+    while bad.size:
+        at[bad] += 1
+        bad = bad[at[bad] < len(words)]
+        m[bad] = words[at[bad]] * r[bad]
+        bad = bad[(m[bad] & 0xFFFFFFFF) < threshold[bad]]
+    return at, (m >> 32).astype(np.int64)
+
+
+def _genuine_pairs(rng, seed, members, first, size, n_pairs):
+    """The (n_pairs, 2) pairs members[first[grp] + (i, j)] of n_pairs rounds of
+    grp = rng.integers(len(size)) and i, j = rng.choice(size[grp], 2,
+    replace=False), with rng advanced past them.
+
+    A round is numpy's 32-bit Lemire draws (a range of 1 takes no word) on
+    successive next_uint32 words: the group, Floyd's draws in [0, g - 1) and
+    [0, g), and a shuffle draw in [0, 2) that swaps the pair on 0. A second
+    generator reads the words ahead, SCORE_BLOCK rounds at a time, as
+    integers(2**32, dtype=uint32) gives them; each word is mapped as if a
+    round started there, pointer doubling finds the round starts, and rng
+    skips the words used. tests/test_evalkit.py pins these numpy facts.
+    """
+    ahead = np.random.default_rng(seed)
+    out = np.empty((n_pairs, 2), np.int64)
+    words = np.empty(0, np.uint64)
+    done = 0
+    while done < n_pairs:
+        take = min(n_pairs - done, SCORE_BLOCK)  # a round takes 4 words or fewer, bar rejections
+        fresh = ahead.integers(1 << 32, size=4 * take, dtype=np.uint32)
+        words = np.concatenate([words, fresh.astype(np.uint64)])
+        at = np.arange(len(words))
+        grp = np.zeros(len(words), np.int64)
+        if len(size) > 1:
+            at, grp = _lemire(words, at, len(size))
+            at += 1
+        g = size[grp]
+        i = np.zeros(len(words), np.int64)
+        big = np.flatnonzero(g > 2)
+        at[big], i[big] = _lemire(words, at[big], g[big] - 1)
+        at[big] += 1
+        at, j = _lemire(words, at, g)
+        same = j == i  # Floyd: a repeat draw takes the top index instead
+        j[same] = g[same] - 1
+        swap = words.take(at + 1, mode="clip") < 1 << 31
+        # round k starts at word nxt^k(0); a round past the block leads to W + 1, which stays put
+        W = len(words)
+        nxt = np.r_[np.minimum(at + 2, W + 1), W + 1, W + 1]
+        starts = np.zeros(take + 1, np.int64)
+        known = 1
+        while known <= take:  # pointer doubling: nxt holds nxt^known
+            starts[known:2 * known] = nxt[starts[:min(known, take + 1 - known)]]
+            nxt, known = nxt[nxt], 2 * known
+        s = starts[:-1][starts[1:] <= W]
+        p = int(starts[len(s)])  # words used
+        lo, hi = np.where(swap[s], j[s], i[s]), np.where(swap[s], i[s], j[s])
+        out[done:done + len(s)] = members[first[grp[s]][:, None] + np.column_stack([lo, hi])]
+        rng.integers(1 << 32, size=p, dtype=np.uint32)
+        words = words[p:]
+        done += len(s)
+    return out
+
+
 def make_trials(labels, n_genuine, n_impostor, seed):
     """Sample trials from a label vector: n_genuine pairs of two images of one
     identity, then n_impostor pairs of two identities, as a TRIAL_DTYPE array.
 
-    Genuine pairs take one rng.integers and one rng.choice call each.
-    Impostor pairs are drawn in bulk; the PCG64 stream does not depend on the
-    chunking, so they are those of one rng.integers(n, size=2) call per pair.
+    Both kinds are drawn in bulk, bit for bit the pairs of the per-pair loop
+    over rng = default_rng(seed), for any seed but a Generator: per genuine
+    pair, grp = rng.integers(len(multi)) over the identities with two or more
+    images in order of first appearance, then rng.choice(len(grp), 2,
+    replace=False) over its images in index order; per impostor pair,
+    rng.integers(n, size=2), kept if the two labels differ.
     """
     labels = np.asarray(labels)
-    rng = np.random.default_rng(seed)
-    by_id = {}
-    for i, y in enumerate(labels):
-        by_id.setdefault(int(y), []).append(i)
-    multi = [v for v in by_id.values() if len(v) >= 2]
-    if not multi:
-        raise ValueError("no identity has >= 2 samples; cannot build genuine trials")
-    pairs = []
-    for _ in range(n_genuine):
-        grp = multi[rng.integers(len(multi))]
-        i, j = rng.choice(len(grp), size=2, replace=False)
-        pairs.append((grp[i], grp[j]))
     n = len(labels)
-    counts = np.unique(labels, return_counts=True)[1]
+    rng = np.random.default_rng(seed)
+    members = np.argsort(labels, kind="stable")  # each identity's images, ascending
+    ordered = labels[members]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]][:n])
+    counts = np.diff(np.r_[first, n])
+    by_appearance = np.argsort(members[first])
+    multi = by_appearance[counts[by_appearance] >= 2]
+    if not multi.size:
+        raise ValueError("no identity has >= 2 samples; cannot build genuine trials")
     if n_impostor > 0 and len(counts) < 2:
         raise ValueError("fewer than 2 identities; cannot build impostor trials")
+    sizes = counts[multi].astype(np.uint64)
+    pairs = _genuine_pairs(rng, seed, members, first[multi], sizes, n_genuine)
     accept = 1.0 - np.sum((counts / n) ** 2)  # P(a random pair has two labels)
-    chunks = [np.array(pairs, dtype=np.int64).reshape(-1, 2)]
+    chunks = [pairs]
     made = 0
     while made < n_impostor:
         need = n_impostor - made  # 10% spare rows: one draw nearly always suffices

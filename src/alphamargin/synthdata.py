@@ -2,9 +2,10 @@
 (few-shot) identities, plus binary/CSV dataset I/O on a framing checkpoints share."""
 
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -111,29 +112,56 @@ def write_framed(path, magic, header_fmt, header, arrays):
             fh.write(np.ascontiguousarray(array, dtype=dtype).tobytes())
 
 
+def _read_into(fh, array):
+    """Fill array's bytes from fh as far as fh goes; the number of bytes read."""
+    view = array.reshape(-1).view(np.uint8)
+    got = 0
+    while got < len(view) and (n := fh.readinto(view[got:])):
+        got += n
+    return got
+
+
+def _count_rest(fh):
+    """Read fh to its end a block at a time; the number of bytes it held."""
+    n = 0
+    while block := fh.read(1 << 16):
+        n += len(block)
+    return n
+
+
 def read_framed(path, magic, version, header_fmt, layout, what):
-    """Read a write_framed file whole: (header fields after the version, arrays). layout(*fields)
-    gives each array's (shape, dtype); another magic, version or size is a DataFormatError."""
-    raw = Path(path).read_bytes()
+    """Read a write_framed file: (header fields after the version, arrays). layout(*fields)
+    gives each array's (shape, dtype); another magic, version or size is a DataFormatError.
+    The arrays are read in place, so loading holds about one file size; a stream such as a
+    pipe has no size up front, so its own is counted as it is read."""
     off = len(magic) + struct.calcsize(header_fmt)
-    if len(raw) < off:
-        raise DataFormatError(f"{path}: file too short for a {what} header")
-    if raw[: len(magic)] != magic:
-        raise DataFormatError(f"{path}: bad magic {raw[:len(magic)]!r}")
-    file_version, *fields = struct.unpack_from(header_fmt, raw, len(magic))
-    if file_version != version:
-        raise DataFormatError(f"{path}: unsupported version {file_version}")
-    # sizes in Python ints, which cannot wrap whatever the header says
-    specs = [(shape, np.dtype(dtype), math.prod(shape)) for shape, dtype in layout(*fields)]
-    need = off + sum(count * dtype.itemsize for _, dtype, count in specs)
-    if len(raw) < need:
-        raise DataFormatError(f"{path}: truncated ({len(raw)} bytes, expected {need})")
-    if len(raw) > need:
-        raise DataFormatError(f"{path}: {len(raw) - need} trailing bytes after the {what}")
-    arrays = []
-    for shape, dtype, count in specs:
-        arrays.append(np.frombuffer(raw, dtype, count, off).reshape(shape).copy())
-        off += count * dtype.itemsize
+    with open(path, "rb") as fh:
+        head = fh.read(off)
+        if len(head) < off:
+            raise DataFormatError(f"{path}: file too short for a {what} header")
+        if head[: len(magic)] != magic:
+            raise DataFormatError(f"{path}: bad magic {head[:len(magic)]!r}")
+        file_version, *fields = struct.unpack_from(header_fmt, head, len(magic))
+        if file_version != version:
+            raise DataFormatError(f"{path}: unsupported version {file_version}")
+        # sizes in Python ints, which cannot wrap whatever the header says
+        specs = [(shape, np.dtype(dtype), math.prod(shape)) for shape, dtype in layout(*fields)]
+        need = off + sum(count * dtype.itemsize for _, dtype, count in specs)
+        st = os.fstat(fh.fileno())
+        size = st.st_size if stat.S_ISREG(st.st_mode) else None
+        arrays = []
+        if size in (None, need):
+            try:
+                arrays = [np.empty(shape, dtype) for shape, dtype, _ in specs]
+            except (MemoryError, ValueError):
+                if size is not None:  # a file of the size its header asks, too large for memory
+                    raise
+                # a stream whose header asks for more than memory: it is counted as truncated
+            size = off + sum(_read_into(fh, array) for array in arrays) + _count_rest(fh)
+    if size < need:
+        raise DataFormatError(f"{path}: truncated ({size} bytes, expected {need})")
+    if size > need:
+        raise DataFormatError(f"{path}: {size - need} trailing bytes after the {what}")
     return fields, arrays
 
 

@@ -4,6 +4,7 @@ from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
+from conftest import make_trials_loop_reference
 
 from alphamargin import cli, synthdata, trainer
 from alphamargin.core import AlphaParams
@@ -195,6 +196,19 @@ class TestTrain:
             r"numeric failure: training diverged at epoch 1, batch [1-4] \(lr 1e\+300\): \S", err
         ), err
 
+    def test_layer_too_large_for_memory_is_usage_error(self, tmp_path, capsys):
+        # a 10^11 x 3 first layer asks for 2.18 TiB, which no allocator grants
+        dataset = tmp_path / "d3.bin"
+        gen = ["gen", "--k", "4", "--d", "3", "--samples-per-id", "4", "--noise-kappa", "10.0"]
+        assert run(gen + ["--out", str(dataset)]) == 0
+        cfg = write_config(
+            tmp_path / "t.ini", dataset, tmp_path / "o", {("train", "hidden_dim"): "100000000000"}
+        )
+        assert run(["train", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: out of memory") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
     def test_reinit_event_printed(self, tmp_path, dataset_path, capsys):
         out = tmp_path / "run"
         cfg = write_config(
@@ -282,6 +296,30 @@ class TestEval:
         assert det[0] == "far,frr,threshold"
         fars = [float(ln.split(",")[0]) for ln in det[1:]]
         assert fars == sorted(fars)
+
+    @pytest.mark.parametrize("seed", [0, 777])
+    def test_sampled_trials_are_the_per_pair_loop(self, tmp_path, seed):
+        # on the held-out set of the long-tail acceptance data, --trial-seed
+        # gives the outputs of a trials file written by the per-pair loop
+        spec = synthdata.SynthSpec(
+            k=200, d=16, samples_per_id=12, noise_kappa=40.0, seed=100,
+            few_fraction=0.3, few_count=2,
+        )
+        held = synthdata.generate_heldout(spec, per_id=6)
+        dataset, ckpt = tmp_path / "held.bin", tmp_path / "ck.bin"
+        synthdata.save(held, dataset)
+        trainer.save_checkpoint(
+            trainer.init_model(16, 32, 8, 200, np.random.default_rng(seed)), ckpt
+        )
+        trials = tmp_path / "trials.csv"
+        rows = make_trials_loop_reference(held.labels, 2000, 20000, seed)
+        trials.write_text("".join(f"{i},{j},{int(g)}\n" for i, j, g in rows))
+        common = ["eval", "--checkpoint", str(ckpt), "--dataset", str(dataset),
+                  "--far", "1e-2", "--far", "1e-3", "--far", "1e-4"]
+        assert run(common + ["--trial-seed", str(seed), "--out-dir", str(tmp_path / "a")]) == 0
+        assert run(common + ["--trials", str(trials), "--out-dir", str(tmp_path / "b")]) == 0
+        for name in ("det.csv", "report.txt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_explicit_trials_file(self, tmp_path, dataset_path):
         ckpt = self._train(tmp_path, dataset_path)

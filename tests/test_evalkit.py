@@ -547,6 +547,49 @@ class TestMatchesLoopReference:
         pairs = np.array([b.integers(n, size=2) for _ in range(503)])
         assert np.array_equal(bulk, pairs)
 
+    # The bulk genuine draw reads the raw 32-bit stream; these pin the numpy
+    # facts it relies on.
+    @pytest.mark.parametrize("count", [1, 2, 7, 1000])
+    def test_full_range_uint32_is_the_next_uint32_stream(self, count):
+        a = np.random.default_rng(count)
+        b = np.random.default_rng(count)
+        words = a.integers(1 << 32, size=count, dtype=np.uint32)
+        raw = b.bit_generator.ctypes
+        assert words.tolist() == [raw.next_uint32(raw.state) for _ in range(count)]
+        # after an odd count half a 64-bit output is buffered; both must resume from it
+        for n in (2, 1000, 2**31 + 3):
+            assert np.array_equal(a.integers(n, size=2), b.integers(n, size=2))
+
+    def test_range_of_one_takes_no_word(self):
+        a = np.random.default_rng(4)
+        b = np.random.default_rng(4)
+        assert a.integers(1) == 0
+        assert np.array_equal(a.integers(1 << 32, size=5, dtype=np.uint32),
+                              b.integers(1 << 32, size=5, dtype=np.uint32))
+
+    @pytest.mark.parametrize("g", [*range(2, 65), 1000, 4097, 10000])
+    def test_genuine_pair_is_choice_of_two(self, g):
+        # one identity: rng.integers(1) takes no word, so each pair is one choice call
+        rng = np.random.default_rng(g)
+        want = [rng.choice(g, 2, replace=False).tolist() for _ in range(40)]
+        got = make_trials(np.zeros(g, np.int64), 40, 0, seed=g)
+        assert got[["i", "j"]].tolist() == [tuple(pair) for pair in want]
+
+    def test_lemire_rejections_are_reproduced(self):
+        # 10^6 identities: numpy rejects a group draw's word when its low
+        # product half is below 2**32 % 10**6, about once in 4,400 draws
+        labels = np.repeat(np.arange(10**6), 2)
+        n_pairs, seed = 10**4, 0
+        loop = np.random.default_rng(seed)
+        for _ in range(n_pairs):
+            loop.integers(10**6)
+            loop.choice(2, 2, replace=False)
+        unrejected = np.random.default_rng(seed)
+        unrejected.integers(1 << 32, size=3 * n_pairs, dtype=np.uint32)  # 3 words a pair
+        assert loop.bit_generator.state != unrejected.bit_generator.state
+        got = make_trials(labels, n_pairs, 50, seed).tolist()
+        assert got == make_trials_loop_reference(labels, n_pairs, 50, seed)
+
     def test_single_identity_raises(self):
         with pytest.raises(ValueError, match="fewer than 2 identities"):
             make_trials(np.array([0, 0, 0]), 2, 1, 0)

@@ -1,7 +1,10 @@
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from alphamargin.errors import DataFormatError
 from alphamargin.synthdata import (
@@ -140,6 +143,69 @@ class TestBinaryIO:
         need = 24 + 2**62 * 52
         with pytest.raises(DataFormatError, match=rf"truncated \(24 bytes, expected {need}\)"):
             load(path)
+
+    def test_load_holds_about_one_file_size(self, tmp_path):
+        # the arrays are read in place, not copied out of the whole file's bytes
+        ds = generate(spec(k=100, d=16, samples_per_id=200))
+        path = tmp_path / "ds.bin"
+        save(ds, path)
+        size = path.stat().st_size
+        assert 2.5e6 < size < 2.7e6
+        back, peak = traced_peak(load, path)
+        np.testing.assert_array_equal(back.points, ds.points)
+        assert peak <= 1.1 * size, (peak, size)
+
+    @staticmethod
+    def _load_through_a_pipe(tmp_path, raw):
+        """load() of a FIFO fed raw by a writer thread: a stream without a size."""
+        fifo = tmp_path / "ds.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            try:
+                with open(fifo, "wb") as fh:
+                    fh.write(raw)
+            except BrokenPipeError:  # the reader stopped at a bad header
+                pass
+
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        try:
+            return load(fifo)
+        finally:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+
+    def test_pipe_reads_alike(self, tmp_path):
+        ds = generate(spec())
+        path = tmp_path / "ds.bin"
+        save(ds, path)
+        back = self._load_through_a_pipe(tmp_path, path.read_bytes())
+        np.testing.assert_array_equal(ds.points, back.points)
+        np.testing.assert_array_equal(ds.labels, back.labels)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda raw: raw[:-16],
+            lambda raw: raw + bytes(13),
+            lambda raw: raw[:20],
+            lambda raw: b"NOPE" + raw[4:],
+            lambda raw: b"SYND" + struct.pack("<IQII", 1, 2**62, 6, 12),  # more than memory
+            lambda raw: b"SYND" + struct.pack("<IQII", 1, 2**40, 6, 12),
+        ],
+        ids=["truncated", "trailing", "short_header", "magic", "huge_n", "large_n"],
+    )
+    def test_pipe_gives_the_file_errors(self, tmp_path, corrupt):
+        path = tmp_path / "ds.bin"
+        save(generate(spec()), path)
+        raw = corrupt(path.read_bytes())
+        path.write_bytes(raw)
+        with pytest.raises(DataFormatError) as from_file:
+            load(path)
+        with pytest.raises(DataFormatError) as from_pipe:
+            self._load_through_a_pipe(tmp_path, raw)
+        assert str(from_pipe.value) == str(from_file.value).replace("ds.bin", "ds.fifo")
 
     def test_bytes_pin_the_format(self, tmp_path):
         ds = generate(spec())
