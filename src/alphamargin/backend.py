@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import SolverError
 
-# Recorded by the benchmark and printed by `alphamargin --backend-info`.
+# Recorded in the benchmark's environment stamp.
 BACKEND = "python"
 
 # Stop as soon as the residual is this close to zero, even if the bracket
@@ -124,7 +124,7 @@ def _solve_block(theta, q, alpha, tol, max_iters, P, taus):
         for i in np.flatnonzero(live):
             errors[int(i)] = (
                 f"solver did not converge in {max_iters} iterations (bracket width "
-                f"{hi[i] - lo[i]:.3e}, tol {tol:.3e}, posterior sum {S[i]!r})"
+                f"{hi[i] - lo[i]:.3e}, tol {tol:.3e}, posterior sum {float(S[i])!r})"
             )
 
     totals = P.sum(axis=1)

@@ -17,17 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import evalkit, synthdata, trainer
-from .core import (
-    AlphaParams,
-    _check_logits,
-    _check_measure,
-    alpha_softargmax,
-    alpha_softmax,
-    root_find_tau,
-)
+from .core import AlphaParams, alpha_softargmax, alpha_softmax, root_find_tau
 from .errors import DataFormatError, SolverError, UnattainableFARError
 from .losses import AnnealSchedule, MarginConfig, fy_loss
-from . import backend
 
 
 class UsageError(Exception):
@@ -137,12 +129,12 @@ def cmd_gen(args):
 def cmd_train(args):
     parsed, cp = read_train_config(args.config)
     dataset = synthdata.load(parsed["dataset"])
+    result = trainer.train(dataset, parsed["train"])
+    # a failed run leaves no out_dir behind
     out_dir = Path(parsed["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "config.ini", "w") as fh:
         cp.write(fh)
-
-    result = trainer.train(dataset, parsed["train"])
     trainer.write_metrics_csv(result.metrics, out_dir / "metrics.csv")
     trainer.save_checkpoint(result.model, out_dir / "checkpoint.bin")
     with open(out_dir / "train.log", "w") as fh:
@@ -239,16 +231,16 @@ def cmd_probe(args):
         theta = np.array([float(x) for x in args.theta.split(",")])
         q = np.array([float(x) for x in args.q.split(",")]) if args.q else np.ones_like(theta)
         params = AlphaParams(alpha=args.alpha)
-        theta = _check_logits(theta, args.target)
-        q = _check_measure(q, k=theta.shape[0])
+        # the first solve checks theta, q and the target
+        if args.target is not None:
+            out = fy_loss(theta, args.target, q, params)
+            posterior = out.posterior
+        else:
+            posterior = alpha_softargmax(theta, q, params)
     except (ValueError, IndexError) as exc:
         raise UsageError(str(exc)) from exc
     if args.target is not None:
-        out = fy_loss(theta, args.target, q, params)
-        posterior = out.posterior
         print(f"loss      {out.value!r}")
-    else:
-        posterior = alpha_softargmax(theta, q, params)
     print(f"tau       {root_find_tau(theta, q, params)!r}")
     print(f"posterior {np.array2string(posterior.to_dense(), precision=8)}")
     print(f"softmax_f {alpha_softmax(theta, q, params)!r}")
@@ -293,7 +285,6 @@ def far_target(text):
 
 def build_parser():
     parser = _Parser(prog="alphamargin", description=__doc__)
-    parser.add_argument("--backend-info", action="store_true", help="print the active solver backend and exit")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("gen", help="generate a synthetic identity dataset")
@@ -343,9 +334,6 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.backend_info:
-            print(f"solver backend: {backend.BACKEND}")
-            return 0
         if not getattr(args, "command", None):
             parser.print_help()
             return 1

@@ -183,6 +183,14 @@ def alpha_softargmax(theta, q, params):
 
 
 def alpha_softmax(theta, q, params):
-    """Value of the regularized maximization: <p*, theta> - D_f(p* : q)."""
-    theta, q, p, _ = _solve_row(theta, q, params)
-    return float(p @ theta - divergence(p, q, params))
+    """Value of the regularized maximization: <p*, theta> - D_f(p* : q).
+
+    Read off the solve in its dual form, the minimum over tau of
+    tau + sum_j q_j f*(theta_j - tau) with f*(v) = ([1 + (a-1)*v]_+ ** (a/(a-1)) - 1)/a,
+    which at p = q * z**(1/(a-1)) is tau + ((a-1) <p, theta - tau> + sum(p) - sum(q))/a.
+    It is stationary in tau, so the solve's error in tau enters only at second
+    order, and it needs no power over the k classes.
+    """
+    theta, q, p, tau = _solve_row(theta, q, params)
+    a = params.alpha
+    return float(tau + ((a - 1.0) * (p @ (theta - tau)) + p.sum() - q.sum()) / a)

@@ -332,10 +332,12 @@ def avg_relative_improvement(det_ours, det_base, far_lo, far_hi, n_grid=50):
 def sparsity_report(embeddings, labels, prototypes, loss_cfg, params) -> SparsityReport:
     """Misalignment (p_y = 0) and sparsity statistics of the loss posterior.
 
-    Zeros are exact zeros from the solver's clip; no epsilon pruning. For the
-    dense baseline losses every statistic except onehot_fraction is zero by
-    construction. Rows are solved backend.BLOCK_ROWS at a time; each keeps
-    only whether p_y = 0 and its count of nonzeros.
+    Zeros are exact zeros from the solver's clip; no epsilon pruning. The
+    baseline losses' softmax posteriors have no zeros in exact arithmetic, but
+    exp underflows to 0.0 at a large scale, so their statistics need not be
+    zero (cosface at s=1000 leaves half of the entries at 0.0). Rows are solved
+    backend.BLOCK_ROWS at a time; each keeps only whether p_y = 0 and its
+    count of nonzeros.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     prototypes = np.asarray(prototypes)

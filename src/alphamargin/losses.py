@@ -90,12 +90,7 @@ def margin_logits(C, ys, cfg):
     exp(-s*m), others 1), ones for a3m and None for the cross-entropy modes.
     """
     C = np.asarray(C, dtype=np.float64)
-    return _margin_logits(C, _check_labels(ys, C.shape), cfg)
-
-
-def _margin_logits(C, ys, cfg):
-    """margin_logits of a float (B, k) array C with checked labels ys."""
-    target = (np.arange(C.shape[0]), ys)
+    target = (np.arange(C.shape[0]), _check_labels(ys, C.shape))
     Theta = cfg.scale * C
     if cfg.mode == "cosface":
         Theta[target] = cfg.scale * (C[target] - cfg.margin)
@@ -158,11 +153,7 @@ def fy_loss(theta, y, q, params):
 
 def fy_loss_batch(Theta, ys, Q, params):
     """Row-wise fy_loss. Returns (values (B,), grads (B,k), posteriors (B,k))."""
-    return _fy_batch(Theta, _check_labels(ys, np.shape(Theta)), Q, params)
-
-
-def _fy_batch(Theta, ys, Q, params):
-    """fy_loss_batch with checked labels ys."""
+    ys = _check_labels(ys, np.shape(Theta))
     Theta = np.ascontiguousarray(Theta, dtype=np.float64)
     Q = np.ascontiguousarray(Q, dtype=np.float64)
     P, taus = backend.posterior_batch(
@@ -182,7 +173,7 @@ def _margin_row(c, y, cfg, modes):
     """margin_logits of one checked cosine row c with target y, for the given modes."""
     if cfg.mode not in modes:
         raise ValueError(f"expected mode {' or '.join(map(repr, modes))}, got {cfg.mode!r}")
-    Theta, Q = _margin_logits(_check_logits(c, y)[None], np.array([y]), cfg)
+    Theta, Q = margin_logits(_check_logits(c, y)[None], [y], cfg)
     return Theta[0], None if Q is None else Q[0]
 
 
@@ -211,9 +202,7 @@ def baseline_ce_loss(c, y, cfg):
 
 def batch_posteriors(C, ys, cfg, params):
     """Posterior matrix (B, k) for the configured loss at cosine matrix C."""
-    C = np.asarray(C, dtype=np.float64)
-    ys = _check_labels(ys, C.shape)
-    Theta, Q = _margin_logits(C, ys, cfg)
+    Theta, Q = margin_logits(C, ys, cfg)
     if Q is None:
         return _ce_rows(Theta, ys)[1]
     P, _ = backend.posterior_batch(Theta, Q, params.alpha, params.bisect_tol, params.max_iters)
@@ -227,17 +216,16 @@ def batch_loss_and_cosine_grad(C, ys, cfg, params):
     sin(psi + m)/sin(psi) factor on the target column.
     Returns (values (B,), dC (B,k), posteriors (B,k)).
     """
-    C = np.asarray(C, dtype=np.float64)
-    ys = _check_labels(ys, C.shape)
-    Theta, Q = _margin_logits(C, ys, cfg)
+    Theta, Q = margin_logits(C, ys, cfg)
     if Q is None:
         values, P = _ce_rows(Theta, ys)
         G = _minus_targets(P, ys)
     else:
-        values, G, P = _fy_batch(Theta, ys, Q, params)
+        values, G, P = fy_loss_batch(Theta, ys, Q, params)
 
     dC = cfg.scale * G
     if cfg.mode in ("a3m", "arcface"):
         rows = np.arange(len(ys))
-        dC[rows, ys] *= arcface_margin_derivative(C[rows, ys], cfg.margin)
+        cy = np.asarray(C, dtype=np.float64)[rows, ys]
+        dC[rows, ys] *= arcface_margin_derivative(cy, cfg.margin)
     return values, dC, P

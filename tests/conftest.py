@@ -224,45 +224,74 @@ def cosface_recovery_draws():
         yield k, c, y, s, m
 
 
-def fy_loss_reference(theta, y, q, alpha, dps=60):
-    """Fenchel-Young alpha-divergence loss in mpmath at `dps` digits.
+def _mp_alpha_softmax(theta, q, alpha):
+    """(<p, theta> - D_f(p:q), D_f(. : q)) in mpmath at the working precision.
 
-    <p, theta> - D_f(p:q) + D_f(y:q) - theta_y with
-    p_j = q_j * [1 + (a-1)*(theta_j - tau)]_+ ** (1/(a-1)); tau is bisected
-    on the solver's bracket until the midpoint no longer moves.
+    p_j = q_j * [1 + (a-1)*(theta_j - tau)]_+ ** (1/(a-1)). tau takes Newton
+    steps on sum(p)**(a-1) - 1 from the lower end of the solver's bracket; a
+    step that leaves the bracket is a bisection. The solve stops once sum(p)
+    is 1, or a step moves tau, within 10**(5 - dps).
+    """
+    import mpmath
+
+    a = mpmath.mpf(float(alpha))
+    am1 = a - 1
+    theta = [mpmath.mpf(float(t)) for t in theta]
+    q = [mpmath.mpf(float(w)) for w in q]
+    eps = mpmath.mpf(10) ** (5 - mpmath.mp.dps)
+
+    def posterior(tau):
+        return [w * max(1 + am1 * (t - tau), 0) ** (1 / am1) for t, w in zip(theta, q)]
+
+    def df(p):
+        return mpmath.fsum(
+            w * (((u / w) ** a - 1) - a * (u / w - 1)) / (a * am1) for u, w in zip(p, q)
+        )
+
+    # residual(lo) >= 0 >= residual(hi): p_t = 1 at lo, p <= q / sum(q) at hi
+    t = max(range(len(theta)), key=theta.__getitem__)
+    lo = theta[t] - ((1 / q[t]) ** am1 - 1) / am1
+    hi = theta[t] - ((1 / mpmath.fsum(q)) ** am1 - 1) / am1
+    tau = lo
+    while True:
+        S = mpmath.fsum(posterior(tau))
+        if abs(S - 1) <= eps:
+            break
+        if S > 1:
+            lo = tau
+        else:
+            hi = tau
+        z = [1 + am1 * (th - tau) for th in theta]
+        qw = mpmath.fsum(w * u ** (1 / am1 - 1) for u, w in zip(z, q) if u > 0)
+        step = tau + (S - S ** (2 - a)) / (am1 * qw)
+        if not lo < step < hi:
+            step = (lo + hi) / 2
+        done = abs(step - tau) <= eps * (1 + abs(tau)) or step in (lo, hi)
+        tau = step
+        if done:
+            break
+    p = posterior(tau)
+    return mpmath.fsum(u * th for u, th in zip(p, theta)) - df(p), df
+
+
+def alpha_softmax_reference(theta, q, alpha, dps=60):
+    """alpha-softmax <p, theta> - D_f(p:q) of the alpha-softargmax p, in mpmath at `dps` digits."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        return float(_mp_alpha_softmax(theta, q, alpha)[0])
+
+
+def fy_loss_reference(theta, y, q, alpha, dps=60):
+    """Fenchel-Young alpha-divergence loss in mpmath at `dps` digits:
+    <p, theta> - D_f(p:q) + D_f(y:q) - theta_y (see _mp_alpha_softmax).
     """
     import mpmath
 
     with mpmath.workdps(dps):
-        a = mpmath.mpf(float(alpha))
-        am1 = a - 1
-        theta = [mpmath.mpf(float(t)) for t in theta]
-        q = [mpmath.mpf(float(w)) for w in q]
-
-        def posterior(tau):
-            return [w * max(1 + am1 * (t - tau), 0) ** (1 / am1) for t, w in zip(theta, q)]
-
-        def df(p):
-            return mpmath.fsum(
-                w * (((u / w) ** a - 1) - a * (u / w - 1)) / (a * am1) for u, w in zip(p, q)
-            )
-
-        # residual(lo) >= 0 >= residual(hi): p_t = 1 at lo, p <= q / sum(q) at hi
-        t = max(range(len(theta)), key=theta.__getitem__)
-        lo = theta[t] - ((1 / q[t]) ** am1 - 1) / am1
-        hi = theta[t] - ((1 / mpmath.fsum(q)) ** am1 - 1) / am1
-        while True:
-            mid = (lo + hi) / 2
-            if mid in (lo, hi):
-                break
-            if mpmath.fsum(posterior(mid)) > 1:
-                lo = mid
-            else:
-                hi = mid
-        p = posterior(mid)
+        value, df = _mp_alpha_softmax(theta, q, alpha)
         yv = [mpmath.mpf(int(j == y)) for j in range(len(theta))]
-        value = mpmath.fsum(u * t for u, t in zip(p, theta)) - df(p) + df(yv) - theta[y]
-        return float(value)
+        return float(value + df(yv) - mpmath.mpf(float(theta[y])))
 
 
 def central_diff(fn, x, i, h=1e-5):

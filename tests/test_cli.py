@@ -1,3 +1,4 @@
+import configparser
 import json
 import re
 from dataclasses import MISSING, fields
@@ -208,6 +209,43 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("usage error: out of memory") and err.count("\n") == 1, err
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_solver_failure_leaves_no_run_directory(self, tmp_path, dataset_path, capsys):
+        # one sweep is too few: the first batch fails in the solver
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path / "t.ini", dataset_path, out, {("alpha", "max_iters"): "1"})
+        assert run(["train", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"solver failure: row \d+: solver did not converge in 1 iterations \(bracket width "
+            r"\S+, tol 1\.000e-10, posterior sum \d\.\d+(e[+-]\d+)?\)\n",
+            err,
+        ), err
+        assert not out.exists()
+
+    def test_anneal_keys_are_echoed_and_reproduce(self, tmp_path, dataset_path):
+        out1 = tmp_path / "run1"
+        anneal = {
+            ("train", "epochs"): "3", ("loss", "anneal_start"): "1", ("loss", "anneal_end"): "3",
+        }
+        cfg = write_config(tmp_path / "train.ini", dataset_path, out1, anneal)
+        assert run(["train", str(cfg)]) == 0
+        echo = configparser.ConfigParser()
+        echo.read(out1 / "config.ini")
+        assert (echo["loss"]["anneal_start"], echo["loss"]["anneal_end"]) == ("1", "3")
+        out2 = tmp_path / "run2"
+        (tmp_path / "echo.ini").write_text(
+            (out1 / "config.ini").read_text().replace(str(out1), str(out2))
+        )
+        assert run(["train", str(tmp_path / "echo.ini")]) == 0
+        assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
+        # the ramp takes effect: the margin is 0 in epoch 1
+        out3 = tmp_path / "run3"
+        plain = dict.fromkeys([("loss", "anneal_start"), ("loss", "anneal_end")])
+        cfg = write_config(tmp_path / "plain.ini", dataset_path, out3, {**anneal, **plain})
+        assert run(["train", str(cfg)]) == 0
+        assert (out1 / "metrics.csv").read_bytes() != (out3 / "metrics.csv").read_bytes()
 
     def test_reinit_event_printed(self, tmp_path, dataset_path, capsys):
         out = tmp_path / "run"
@@ -336,6 +374,17 @@ class TestEval:
         )
         assert code == 0
         assert "genuine 2 impostor 2" in (out / "report.txt").read_text()
+
+    def test_dataset_label_out_of_range_is_data_error(self, tmp_path, dataset_path, capsys):
+        ckpt = self._train(tmp_path, dataset_path, epochs="1")
+        ds = synthdata.load(dataset_path)
+        ds.labels[0] = ds.k
+        bad = tmp_path / "bad.bin"
+        synthdata.save(ds, bad)
+        capsys.readouterr()
+        argv = ["eval", "--checkpoint", str(ckpt), "--dataset", str(bad)]
+        assert run(argv + ["--out-dir", str(tmp_path / "e")]) == 2
+        assert capsys.readouterr().err == f"data error: {bad}: label out of range for k=8\n"
 
     def test_dataset_dimension_mismatch_is_data_error(self, tmp_path, dataset_path, capsys):
         ckpt = self._train(tmp_path, dataset_path, epochs="1")
@@ -606,11 +655,6 @@ class TestStats:
             "onehot_fraction",
         }
         assert all(0.0 <= v <= 1.0 for v in report.values())
-
-
-def test_backend_info(capsys):
-    assert run(["--backend-info"]) == 0
-    assert "solver backend:" in capsys.readouterr().out
 
 
 def test_no_command_prints_help(capsys):

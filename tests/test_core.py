@@ -17,7 +17,12 @@ from alphamargin.core import (
     root_find_tau,
 )
 
-from conftest import central_diff, softargmax_oracle, sparsemax_oracle
+from conftest import (
+    alpha_softmax_reference,
+    central_diff,
+    softargmax_oracle,
+    sparsemax_oracle,
+)
 
 A2 = AlphaParams(2.0)
 
@@ -282,6 +287,30 @@ class TestAlphaSoftmax:
             c = 1.7
             expected = c - divergence([0.5, 0.5], [1.0, 1.0], params)
             assert alpha_softmax([c, c], [1.0, 1.0], params) == pytest.approx(expected)
+
+
+class TestAlphaSoftmaxAccuracy:
+    def test_against_high_precision_reference(self):
+        # k 2..60, theta scale 0.1..1000, q uniform or spread over 11 e-folds;
+        # the value read off the solve against <p, theta> - D_f(p:q) of its p
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2026)
+        worst = {"solve": 0.0, "divergence": 0.0}
+        for _ in range(300):
+            k = int(rng.integers(2, 61))
+            params = AlphaParams(float(rng.choice([1.01, 1.25, 1.5, 2.0, 3.0])))
+            theta = 10.0 ** rng.uniform(-1.0, 3.0) * rng.uniform(-1.0, 1.0, k)
+            q = np.ones(k) if rng.random() < 0.5 else np.exp(rng.uniform(-11.0, 0.0, k))
+            ref = alpha_softmax_reference(theta, q, params.alpha)
+            p = alpha_softargmax(theta, q, params).to_dense()
+            values = {
+                "solve": alpha_softmax(theta, q, params),
+                "divergence": p @ theta - divergence(p, q, params),
+            }
+            for name, value in values.items():
+                worst[name] = max(worst[name], abs(value - ref) / abs(ref))
+        assert worst["solve"] <= worst["divergence"], worst
+        assert worst["solve"] <= 1e-12, worst
 
 
 class TestPosteriorDistribution:

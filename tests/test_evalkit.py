@@ -296,6 +296,16 @@ class TestSparsityReportStreaming:
             assert 0.0 < got["misaligned_image_fraction"] < 1.0
             assert 0.0 < got["onehot_fraction"] < 1.0
 
+    def test_softmax_underflow_at_large_scale(self):
+        # exp underflows at s=1000: the cross-entropy report reads zeros too
+        E, labels, W = _report_case(200, k=50, d=8)
+        cfg = MarginConfig(scale=1000.0, margin=0.3, mode="cosface")
+        params = AlphaParams(1.5)
+        got = sparsity_report(E, labels, W, cfg, params).to_dict()
+        want = sparsity_report_dense_reference(E, labels, W, cfg, params).to_dict()
+        assert repr(got) == repr(want)
+        assert got["misaligned_image_fraction"] > 0.0 and got["posterior_sparsity"] > 0.4
+
     @pytest.mark.parametrize("mode", MODES)
     def test_small_blocks(self, monkeypatch, mode):
         # 7-row blocks over 295 rows: 42 full blocks and a 1-row tail

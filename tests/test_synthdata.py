@@ -135,6 +135,14 @@ class TestBinaryIO:
         with pytest.raises(DataFormatError, match="version"):
             load(path)
 
+    def test_label_out_of_range(self, tmp_path):
+        ds = generate(spec())
+        ds.labels[-1] = ds.k
+        path = tmp_path / "ds.bin"
+        save(ds, path)
+        with pytest.raises(DataFormatError, match=f"label out of range for k={ds.k}$"):
+            load(path)
+
     def test_huge_n_in_header(self, tmp_path):
         # N = 2^62 rows of 6 floats and a label: 2^64 * 13 bytes, which int64
         # arithmetic would wrap to 0, the size of this header-only file
@@ -231,3 +239,16 @@ class TestCsvImport:
         path.write_text("0.5,1.0,0.0\n")
         with pytest.raises(DataFormatError):
             load_csv(path)
+
+    def test_rejects_fewer_than_three_columns(self, tmp_path):
+        path = tmp_path / "emb.csv"
+        path.write_text("0,1.0\n1,0.5\n")
+        with pytest.raises(DataFormatError, match="d >= 2"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("label, k", [(2, 2), (-1, None)])
+    def test_rejects_label_out_of_range(self, tmp_path, label, k):
+        path = tmp_path / "emb.csv"
+        path.write_text(f"0,1.0,0.0\n{label},0.0,1.0\n")
+        with pytest.raises(DataFormatError, match="label out of range"):
+            load_csv(path, k=k)
