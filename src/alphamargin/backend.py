@@ -54,14 +54,15 @@ def _weights(z, q, e):
     return qw, qw * zp
 
 
+def f_prime_inv(q, alpha):
+    """f'(1/q) of f'(u) = (u**(alpha-1) - 1)/(alpha-1), as expm1: alpha -> 1 keeps its digits."""
+    return np.expm1(-(alpha - 1.0) * np.log(q)) / (alpha - 1.0)
+
+
 def _bracket(theta, q, alpha):
     """[theta_t - f'(1/q_t), theta_t - f'(1/sum(q))] per row, t = argmax theta."""
-    am1 = alpha - 1.0
     t = (np.arange(len(theta)), np.argmax(theta, axis=1))
-    # f'(u) = (u**(alpha-1) - 1)/(alpha-1), as expm1 so that alpha -> 1 keeps its digits
-    lo = theta[t] - np.expm1(-am1 * np.log(q[t])) / am1
-    hi = theta[t] - np.expm1(-am1 * np.log(q.sum(axis=1))) / am1
-    return lo, hi
+    return theta[t] - f_prime_inv(q[t], alpha), theta[t] - f_prime_inv(q.sum(axis=1), alpha)
 
 
 def _solve_block(theta, q, alpha, tol, max_iters, P, taus):

@@ -1,8 +1,9 @@
 """Command-line entry point: dataset generation, training, evaluation,
 sparsity statistics and one-shot solver probing.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 solver or numeric
-failure (a SolverError, or a FloatingPointError from a diverging run).
+Exit codes: 0 success, 1 usage/config error, 2 data error (a bad or unreadable
+file), 3 solver or numeric failure (a SolverError, or a FloatingPointError from
+a diverging run).
 All randomness flows from the seeds in the arguments/config; no hidden
 entropy sources, so every subcommand is deterministic given its inputs.
 """
@@ -114,6 +115,15 @@ def read_train_config(path, required=_REQUIRED):
 # ---------------------------------------------------------------------------
 # subcommands
 
+def output_dir(path):
+    """path as the directory a subcommand writes into; a path that exists and
+    is not a directory is refused before any work is done."""
+    path = Path(path)
+    if path.exists() and not path.is_dir():
+        raise UsageError(f"output directory {path} exists and is not a directory")
+    return path
+
+
 def cmd_gen(args):
     try:
         names = {f.name for f in fields(synthdata.SynthSpec)}
@@ -128,10 +138,10 @@ def cmd_gen(args):
 
 def cmd_train(args):
     parsed, cp = read_train_config(args.config)
+    out_dir = output_dir(parsed["out_dir"])
     dataset = synthdata.load(parsed["dataset"])
     result = trainer.train(dataset, parsed["train"])
     # a failed run leaves no out_dir behind
-    out_dir = Path(parsed["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "config.ini", "w") as fh:
         cp.write(fh)
@@ -196,6 +206,7 @@ def load_model_and_dataset(checkpoint, dataset_path):
 
 
 def cmd_eval(args):
+    out_dir = output_dir(args.out_dir)
     model, dataset = load_model_and_dataset(args.checkpoint, args.dataset)
     if args.trials:
         trials = read_trials(args.trials)
@@ -209,7 +220,6 @@ def cmd_eval(args):
     embeddings = trainer.embed(model, dataset.points)
     scores = evalkit.score_trials(embeddings, trials)
     det = evalkit.det_points(scores)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     evalkit.write_det_csv(det, out_dir / "det.csv")
 
@@ -344,7 +354,7 @@ def main(argv=None):
     except MemoryError as exc:  # a size asked for by the config, such as a huge hidden_dim
         print(f"usage error: out of memory ({exc})", file=sys.stderr)
         return 1
-    except (DataFormatError, FileNotFoundError, IndexError) as exc:
+    except (DataFormatError, OSError, IndexError) as exc:  # OSError: a path not read or written
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

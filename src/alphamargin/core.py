@@ -71,7 +71,7 @@ class PosteriorDistribution:
             raise ValueError("support index out of range")
         if np.any(pr <= 0.0):
             raise ValueError("support probabilities must be strictly positive")
-        if abs(pr.sum() - 1.0) > 1e-8:
+        if abs(pr.sum() - 1.0) > backend.SUM_TOL:
             raise ValueError(f"probabilities sum to {pr.sum()!r}, expected 1")
 
     @classmethod
@@ -107,12 +107,17 @@ def _check_logits(theta, y=None):
     return theta
 
 
+def _check_weights(q):
+    """The one rule for reference measure weights, of a vector or a batch of rows."""
+    if not np.all(np.isfinite(q)) or np.any(q <= 0.0):
+        raise ValueError("reference measure weights must be finite and > 0")
+
+
 def _check_measure(q, k=None):
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 1:
         raise ValueError("reference measure must be a 1-D vector")
-    if not np.all(np.isfinite(q)) or np.any(q <= 0.0):
-        raise ValueError("reference measure weights must be finite and > 0")
+    _check_weights(q)
     if k is not None and q.shape[0] != k:
         raise ValueError(f"dimension mismatch: {q.shape[0]} weights for k={k} logits")
     return q

@@ -24,6 +24,7 @@ Tie handling: impostor scores equal to the threshold count as accepted
 UnattainableFARError instead of extrapolating.
 """
 
+import copy
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -117,20 +118,20 @@ def _lemire(words, at, r):
     return at, (m >> 32).astype(np.int64)
 
 
-def _genuine_pairs(rng, seed, members, first, size, n_pairs):
+def _genuine_pairs(rng, members, first, size, n_pairs):
     """The (n_pairs, 2) pairs members[first[grp] + (i, j)] of n_pairs rounds of
     grp = rng.integers(len(size)) and i, j = rng.choice(size[grp], 2,
     replace=False), with rng advanced past them.
 
     A round is numpy's 32-bit Lemire draws (a range of 1 takes no word) on
     successive next_uint32 words: the group, Floyd's draws in [0, g - 1) and
-    [0, g), and a shuffle draw in [0, 2) that swaps the pair on 0. A second
-    generator reads the words ahead, SCORE_BLOCK rounds at a time, as
+    [0, g), and a shuffle draw in [0, 2) that swaps the pair on 0. A copy of
+    rng reads the words ahead, SCORE_BLOCK rounds at a time, as
     integers(2**32, dtype=uint32) gives them; each word is mapped as if a
     round started there, pointer doubling finds the round starts, and rng
     skips the words used. tests/test_evalkit.py pins these numpy facts.
     """
-    ahead = np.random.default_rng(seed)
+    ahead = copy.deepcopy(rng)
     out = np.empty((n_pairs, 2), np.int64)
     words = np.empty(0, np.uint64)
     done = 0
@@ -175,7 +176,7 @@ def make_trials(labels, n_genuine, n_impostor, seed):
     identity, then n_impostor pairs of two identities, as a TRIAL_DTYPE array.
 
     Both kinds are drawn in bulk, bit for bit the pairs of the per-pair loop
-    over rng = default_rng(seed), for any seed but a Generator: per genuine
+    over rng = default_rng(seed), a Generator seed included: per genuine
     pair, grp = rng.integers(len(multi)) over the identities with two or more
     images in order of first appearance, then rng.choice(len(grp), 2,
     replace=False) over its images in index order; per impostor pair,
@@ -195,7 +196,7 @@ def make_trials(labels, n_genuine, n_impostor, seed):
     if n_impostor > 0 and len(counts) < 2:
         raise ValueError("fewer than 2 identities; cannot build impostor trials")
     sizes = counts[multi].astype(np.uint64)
-    pairs = _genuine_pairs(rng, seed, members, first[multi], sizes, n_genuine)
+    pairs = _genuine_pairs(rng, members, first[multi], sizes, n_genuine)
     accept = 1.0 - np.sum((counts / n) ** 2)  # P(a random pair has two labels)
     chunks = [pairs]
     made = 0

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from . import backend
-from .core import PosteriorDistribution, _check_logits, _solve_row
+from .core import PosteriorDistribution, _check_logits, _check_weights, _solve_row
 
 MODES = ("q_margin", "a3m", "cosface", "arcface")
 
@@ -130,8 +130,7 @@ def _fy_values(Theta, ys, Q, P, taus, alpha):
     rows = np.arange(len(ys))
     am1 = alpha - 1.0
     q_y = Q[rows, ys]
-    # q f(1/q) = (expm1(-(a-1) ln q)/(a-1) - (1 - q)) / a, exact as a -> 1
-    target = (np.expm1(-am1 * np.log(q_y)) / am1 - (1.0 - q_y)) / alpha
+    target = (backend.f_prime_inv(q_y, alpha) - (1.0 - q_y)) / alpha  # q_y f(1/q_y)
     p_theta = np.sum(P * Theta, axis=1)
     return (am1 * p_theta + (taus + 1.0) * P.sum(axis=1) - q_y) / alpha + target - Theta[rows, ys]
 
@@ -156,6 +155,9 @@ def fy_loss_batch(Theta, ys, Q, params):
     ys = _check_labels(ys, np.shape(Theta))
     Theta = np.ascontiguousarray(Theta, dtype=np.float64)
     Q = np.ascontiguousarray(Q, dtype=np.float64)
+    if Q.shape != Theta.shape:
+        raise ValueError(f"dimension mismatch: weights of shape {Q.shape} for logits {Theta.shape}")
+    _check_weights(Q)
     P, taus = backend.posterior_batch(
         Theta, Q, params.alpha, params.bisect_tol, params.max_iters
     )

@@ -59,8 +59,14 @@ class Dataset:
         return self.id_counts.shape[0]
 
 
+def _normalize(x, eps=1e-12):
+    """Unit rows of x and the (clamped) row norms they were divided by."""
+    norm = np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), eps)
+    return x / norm, norm
+
+
 def _unit_rows(x):
-    return x / np.linalg.norm(x, axis=-1, keepdims=True)
+    return _normalize(x)[0]
 
 
 def _identity_means(spec, rng):
@@ -172,15 +178,26 @@ def save(dataset: Dataset, path):
     write_framed(path, _MAGIC, _HEADER, header, [(dataset.points, "<f8"), (dataset.labels, "<i4")])
 
 
+def all_finite(array):
+    """Whether array holds no nan or inf: min and max carry either, and unlike
+    np.isfinite they build no mask the size of a loaded file."""
+    return array.size == 0 or bool(np.isfinite(array.min()) and np.isfinite(array.max()))
+
+
+def _checked(path, points, labels, k):
+    """Points and int64 labels read from path as a Dataset: labels in [0, k), points finite."""
+    if len(labels) and (labels.min() < 0 or labels.max() >= k):
+        raise DataFormatError(f"{path}: label out of range for k={k}")
+    if not all_finite(points):
+        raise DataFormatError(f"{path}: point coordinates must be finite")
+    return Dataset(points=points, labels=labels, id_counts=np.bincount(labels, minlength=k))
+
+
 def load(path) -> Dataset:
     (n, d, k), (points, labels) = read_framed(
         path, _MAGIC, _VERSION, _HEADER, lambda n, d, k: [((n, d), "<f8"), ((n,), "<i4")], "dataset"
     )
-    labels = labels.astype(np.int64)
-    if n and (labels.min() < 0 or labels.max() >= k):
-        raise DataFormatError(f"{path}: label out of range for k={k}")
-    id_counts = np.bincount(labels, minlength=k)
-    return Dataset(points=points, labels=labels, id_counts=id_counts)
+    return _checked(path, points, labels.astype(np.int64), k)
 
 
 def load_csv(path, k: Optional[int] = None) -> Dataset:
@@ -188,12 +205,10 @@ def load_csv(path, k: Optional[int] = None) -> Dataset:
     raw = np.loadtxt(path, delimiter=",", ndmin=2)
     if raw.shape[1] < 3:
         raise DataFormatError(f"{path}: expected 'label, d floats' rows with d >= 2")
-    labels = raw[:, 0].astype(np.int64)
+    with np.errstate(invalid="ignore"):  # a nan or huge label casts to garbage, refused below
+        labels = raw[:, 0].astype(np.int64)
     if np.any(raw[:, 0] != labels):
         raise DataFormatError(f"{path}: labels must be integers")
-    points = np.ascontiguousarray(raw[:, 1:])
     if k is None:
         k = int(labels.max()) + 1
-    if labels.min() < 0 or labels.max() >= k:
-        raise DataFormatError(f"{path}: label out of range for k={k}")
-    return Dataset(points=points, labels=labels, id_counts=np.bincount(labels, minlength=k))
+    return _checked(path, np.ascontiguousarray(raw[:, 1:]), labels, k)

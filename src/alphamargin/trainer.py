@@ -16,7 +16,9 @@ import numpy as np
 
 from . import evalkit, synthdata
 from .core import AlphaParams
+from .errors import DataFormatError
 from .losses import MarginConfig, batch_loss_and_cosine_grad
+from .synthdata import _normalize, _unit_rows
 
 log = logging.getLogger(__name__)
 
@@ -79,16 +81,6 @@ def init_model(d_in, hidden, d_emb, k, rng) -> Model:
     w2 = rng.standard_normal((d_emb, hidden)) / np.sqrt(hidden)
     W = _unit_rows(rng.standard_normal((k, d_emb)))
     return Model(w1=w1, b1=np.zeros(hidden), w2=w2, b2=np.zeros(d_emb), prototypes=W)
-
-
-def _normalize(x, eps=1e-12):
-    """Unit rows of x and the (clamped) row norms they were divided by."""
-    norm = np.maximum(np.linalg.norm(x, axis=-1, keepdims=True), eps)
-    return x / norm, norm
-
-
-def _unit_rows(x):
-    return _normalize(x)[0]
 
 
 def _forward(model: Model, X):
@@ -309,4 +301,6 @@ def load_checkpoint(path) -> Model:
     _, arrays = synthdata.read_framed(
         path, _CKPT_MAGIC, _CKPT_VERSION, _CKPT_HEADER, _checkpoint_layout, "checkpoint"
     )
+    if not all(map(synthdata.all_finite, arrays)):
+        raise DataFormatError(f"{path}: checkpoint weights must be finite")
     return Model(**dict(zip(Model.PARAM_NAMES, arrays)))

@@ -247,6 +247,13 @@ class TestTrain:
         assert run(["train", str(cfg)]) == 0
         assert (out1 / "metrics.csv").read_bytes() != (out3 / "metrics.csv").read_bytes()
 
+    def test_zero_epochs_leave_the_model_at_initialization(self, tmp_path, dataset_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "t.ini", dataset_path, out, {("train", "epochs"): "0"})
+        assert run(["train", str(cfg)]) == 0
+        assert capsys.readouterr().out == "done: 0 epochs (model left at initialization)\n"
+        assert (out / "metrics.csv").read_text() == ",".join(trainer.METRIC_COLUMNS) + "\n"
+
     def test_reinit_event_printed(self, tmp_path, dataset_path, capsys):
         out = tmp_path / "run"
         cfg = write_config(
@@ -659,3 +666,108 @@ class TestStats:
 
 def test_no_command_prints_help(capsys):
     assert run([]) == 1
+
+
+def _assert_refused(code, capsys, want_code, kind):
+    """One '<kind> error:' line on stderr, no traceback, nothing on stdout."""
+    out, err = capsys.readouterr()
+    assert code == want_code, err
+    assert err.startswith(f"{kind} error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err and out == ""
+    return err
+
+
+class TestFileFaults:
+    """Bad file contents and unusable paths: typed errors before any output."""
+
+    @pytest.fixture
+    def run_files(self, tmp_path, dataset_path, capsys):
+        """A 1-epoch checkpoint, its config, and copies of the dataset with a
+        nan point and of the checkpoint with an inf weight."""
+        cfg = write_config(tmp_path / "t.ini", dataset_path, tmp_path / "run",
+                           {("train", "epochs"): "1"})
+        assert run(["train", str(cfg)]) == 0
+        ckpt = tmp_path / "run" / "checkpoint.bin"
+        ds = synthdata.load(dataset_path)
+        ds.points[3, 2] = np.nan
+        synthdata.save(ds, tmp_path / "nan.bin")
+        model = trainer.load_checkpoint(ckpt)
+        model.w1[0, 0] = np.inf
+        trainer.save_checkpoint(model, tmp_path / "inf.bin")
+        capsys.readouterr()
+        return {"dataset": dataset_path, "config": cfg, "checkpoint": ckpt,
+                "nan_dataset": tmp_path / "nan.bin", "inf_checkpoint": tmp_path / "inf.bin"}
+
+    def test_train_non_finite_dataset(self, tmp_path, run_files, capsys):
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path / "nan.ini", run_files["nan_dataset"], out)
+        err = _assert_refused(run(["train", str(cfg)]), capsys, 2, "data")
+        assert err == f"data error: {run_files['nan_dataset']}: point coordinates must be finite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("nan_dataset", "point coordinates must be finite"),
+            ("inf_checkpoint", "checkpoint weights must be finite"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["eval", "stats"])
+    def test_non_finite_file(self, tmp_path, run_files, capsys, command, bad, message):
+        files = {**run_files, bad.split("_")[1]: run_files[bad]}
+        out = tmp_path / "e"
+        argv = [command, "--checkpoint", str(files["checkpoint"]),
+                "--dataset", str(files["dataset"])]
+        argv += ["--out-dir", str(out)] if command == "eval" else ["--config", str(files["config"])]
+        err = _assert_refused(run(argv), capsys, 2, "data")
+        assert err == f"data error: {run_files[bad]}: {message}\n"
+        assert not out.exists()
+
+    def test_train_out_dir_naming_a_file(self, tmp_path, dataset_path, capsys, monkeypatch):
+        # refused before the dataset is read or a batch trained
+        monkeypatch.setattr(synthdata, "load", None)
+        monkeypatch.setattr(trainer, "train", None)
+        out = tmp_path / "outfile"
+        out.write_text("keep")
+        cfg = write_config(tmp_path / "t.ini", dataset_path, out)
+        err = _assert_refused(run(["train", str(cfg)]), capsys, 1, "usage")
+        assert err == f"usage error: output directory {out} exists and is not a directory\n"
+        assert out.read_text() == "keep"
+
+    def test_eval_out_dir_naming_a_file(self, tmp_path, run_files, capsys, monkeypatch):
+        monkeypatch.setattr(trainer, "load_checkpoint", None)
+        out = tmp_path / "outfile"
+        out.write_text("keep")
+        argv = ["eval", "--checkpoint", str(run_files["checkpoint"]),
+                "--dataset", str(run_files["dataset"]), "--out-dir", str(out)]
+        err = _assert_refused(run(argv), capsys, 1, "usage")
+        assert err == f"usage error: output directory {out} exists and is not a directory\n"
+        assert out.read_text() == "keep"
+
+    @pytest.mark.parametrize("flag", ["--dataset", "--trials"])
+    def test_eval_input_naming_a_directory(self, tmp_path, run_files, capsys, flag):
+        out = tmp_path / "e"
+        argv = ["eval", "--checkpoint", str(run_files["checkpoint"]),
+                "--dataset", str(run_files["dataset"]), "--out-dir", str(out)]
+        err = _assert_refused(run(argv + [flag, str(tmp_path)]), capsys, 2, "data")
+        assert "Is a directory" in err
+        assert not out.exists()
+
+    def test_train_config_naming_a_directory(self, tmp_path, capsys):
+        err = _assert_refused(run(["train", str(tmp_path)]), capsys, 2, "data")
+        assert err == f"data error: cannot read config file {tmp_path}\n"
+
+    def test_dataset_beyond_memory_is_usage_error(self, tmp_path, dataset_path, capsys,
+                                                  monkeypatch):
+        # a dataset file of exactly its header's size whose arrays cannot be
+        # allocated: the machine's limit, not a corrupt file
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path / "t.ini", dataset_path, out)
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("allocation refused")
+
+        monkeypatch.setattr(np, "empty", no_memory)
+        err = _assert_refused(run(["train", str(cfg)]), capsys, 1, "usage")
+        assert err == "usage error: out of memory (allocation refused)\n"
+        assert not out.exists()

@@ -100,6 +100,15 @@ class TestDivergence:
         with pytest.raises(ValueError):
             divergence([0.5, 0.5], [1.0, 1.0, 1.0], A2)
 
+    def test_measure_must_be_a_vector(self):
+        with pytest.raises(ValueError, match="reference measure must be a 1-D vector"):
+            divergence([0.5, 0.5], [[1.0, 1.0]], A2)
+
+    def test_posterior_distribution_is_read_densely(self):
+        p = PosteriorDistribution(indices=[2, 0], probs=[0.75, 0.25], k=3)
+        q = [1.0, 0.5, 2.0]
+        assert divergence(p, q, A2) == divergence([0.25, 0.0, 0.75], q, A2)
+
     def test_nonnegative_random(self, rng):
         for _ in range(50):
             k = rng.integers(2, 20)
@@ -330,3 +339,17 @@ class TestPosteriorDistribution:
             PosteriorDistribution(indices=[0, 1], probs=[0.5, 0.4], k=3)
         with pytest.raises(ValueError):
             PosteriorDistribution(indices=[0, 1], probs=[1.1, -0.1], k=3)
+
+    @pytest.mark.parametrize(
+        "indices, probs", [([0, 1], [1.0]), ([[0, 1]], [[0.5, 0.5]])], ids=["length", "2-D"]
+    )
+    def test_rejects_mismatched_shapes(self, indices, probs):
+        with pytest.raises(ValueError, match="1-D arrays of equal length"):
+            PosteriorDistribution(indices=indices, probs=probs, k=3)
+
+    def test_sum_tolerance_is_the_solver_s(self, monkeypatch):
+        # one tolerance for the solver's rows and this class
+        with pytest.raises(ValueError, match="probabilities sum to"):
+            PosteriorDistribution(indices=[0, 1], probs=[0.5, 0.5005], k=2)
+        monkeypatch.setattr(backend, "SUM_TOL", 1e-3)
+        assert PosteriorDistribution(indices=[0, 1], probs=[0.5, 0.5005], k=2).nnz == 2

@@ -35,6 +35,11 @@ def scores(genuine, impostor):
 
 
 class TestFrrAtFar:
+    @pytest.mark.parametrize("genuine, impostor", [([0.9, np.nan], [0.1]), ([0.9], [np.inf])])
+    def test_non_finite_scores_rejected(self, genuine, impostor):
+        with pytest.raises(ValueError, match="trial scores must be finite"):
+            scores(genuine, impostor)
+
     def test_worked_example(self):
         # smallest impostor-score threshold with FAR <= 0.25 is 0.4 (the tied
         # impostor there is accepted); the genuine trial at 0.3 is rejected
@@ -520,6 +525,16 @@ class TestMatchesLoopReference:
             got = got.tolist()
             assert got == make_trials_loop_reference(labels, n_genuine, n_impostor, seed)
             assert all(type(i) is int and type(j) is int and type(g) is bool for i, j, g in got)
+
+    @pytest.mark.parametrize("n_genuine", [50, SCORE_BLOCK, 3 * SCORE_BLOCK - 7])
+    @pytest.mark.parametrize("kind", ["generator", "seed_sequence"])
+    def test_make_trials_from_a_generator_or_seed_sequence(self, kind, n_genuine):
+        # default_rng(seed) returns a Generator seed itself, so the bulk
+        # genuine draw must read ahead from a copy of it
+        labels = np.repeat(np.arange(30), 4)
+        make = {"generator": np.random.default_rng, "seed_sequence": np.random.SeedSequence}[kind]
+        got = make_trials(labels, n_genuine, 200, make(7)).tolist()
+        assert got == make_trials_loop_reference(labels, n_genuine, 200, make(7))
 
     def test_split_99_to_1_redraws(self, monkeypatch):
         # with 2% of random pairs usable, some seeds need more than one bulk

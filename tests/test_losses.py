@@ -421,6 +421,25 @@ class TestBatchHelpers:
                 call()
             assert (type(info.value), str(info.value)) == (error, message), name
 
+    @pytest.mark.parametrize("weight", [-0.01, 0.0, np.inf, np.nan])
+    def test_fy_loss_batch_checks_weights_as_fy_loss(self, weight):
+        # a negative weight used to give negative probabilities summing to 1
+        theta, q = [1.0, 0.9, 0.0], [1.0, weight, 1.0]
+        a = AlphaParams(1.5)
+        outcomes = []
+        for call in (lambda: fy_loss(theta, 0, q, a), lambda: fy_loss_batch([theta], [0], [q], a)):
+            with pytest.raises(Exception) as info:
+                call()
+            outcomes.append((type(info.value), str(info.value)))
+        assert outcomes[0] == outcomes[1] == (
+            ValueError, "reference measure weights must be finite and > 0"
+        )
+
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 3), (3,)])
+    def test_fy_loss_batch_weights_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            fy_loss_batch(np.zeros((2, 3)), [0, 1], np.ones(shape), AlphaParams(1.5))
+
     def test_batch_posteriors_row_sums(self, rng):
         a = AlphaParams(1.5)
         for mode in ("q_margin", "a3m", "cosface"):

@@ -152,6 +152,29 @@ class TestBinaryIO:
         with pytest.raises(DataFormatError, match=rf"truncated \(24 bytes, expected {need}\)"):
             load(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point(self, tmp_path, bad):
+        ds = generate(spec())
+        ds.points[3, 2] = bad
+        path = tmp_path / "ds.bin"
+        save(ds, path)
+        with pytest.raises(DataFormatError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}: point coordinates must be finite"
+
+    def test_header_sized_file_beyond_memory_raises_memory_error(self, tmp_path, monkeypatch):
+        # a regular file of exactly its header's size is not corrupt: an
+        # allocation that fails is re-raised, not turned into a format error
+        path = tmp_path / "ds.bin"
+        save(generate(spec()), path)
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("allocation refused")
+
+        monkeypatch.setattr(np, "empty", no_memory)
+        with pytest.raises(MemoryError, match="allocation refused"):
+            load(path)
+
     def test_load_holds_about_one_file_size(self, tmp_path):
         # the arrays are read in place, not copied out of the whole file's bytes
         ds = generate(spec(k=100, d=16, samples_per_id=200))
@@ -239,6 +262,22 @@ class TestCsvImport:
         path.write_text("0.5,1.0,0.0\n")
         with pytest.raises(DataFormatError):
             load_csv(path)
+
+    @pytest.mark.parametrize("label", ["nan", "inf", "1e30"])
+    def test_rejects_non_finite_labels(self, tmp_path, label):
+        # refused as non-integers, without a RuntimeWarning from the cast
+        path = tmp_path / "emb.csv"
+        path.write_text(f"0,1.0,0.0\n{label},0.0,1.0\n")
+        with pytest.raises(DataFormatError, match="labels must be integers"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("row", ["1,nan,0.0", "1,0.0,inf", "1,-inf,1.0"])
+    def test_rejects_non_finite_points(self, tmp_path, row):
+        path = tmp_path / "emb.csv"
+        path.write_text(f"0,1.0,0.0\n{row}\n")
+        with pytest.raises(DataFormatError) as exc:
+            load_csv(path)
+        assert str(exc.value) == f"{path}: point coordinates must be finite"
 
     def test_rejects_fewer_than_three_columns(self, tmp_path):
         path = tmp_path / "emb.csv"

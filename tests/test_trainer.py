@@ -260,6 +260,20 @@ class TestTrain:
         after = result.metrics[3]["misalignment_images"]  # epoch 4, post-reinit
         assert after <= before + 1e-9
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"epochs": -1}, "epochs must be >= 0"),
+            ({"batch_size": 0}, "batch_size must be >= 1"),
+            ({"lr_schedule": []}, "lr_schedule must be nonempty"),
+            ({"lr_schedule": [(1, 0.0)]}, "with positive rates"),
+            ({"lr_schedule": [(1, 0.1), (3, -0.1)]}, "with positive rates"),
+        ],
+    )
+    def test_config_validation(self, field, message):
+        with pytest.raises(ValueError, match=message):
+            config(**field)
+
     def test_reinit_epoch_validation(self):
         with pytest.raises(ValueError):
             config(epochs=3, reinit_epoch=3)
@@ -341,6 +355,16 @@ class TestCheckpointIO:
         assert cli.main(args + ["--out-dir", str(tmp_path / "e")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and "truncated" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_weight(self, tmp_path, rng, bad):
+        model = init_model(6, 5, 4, 3, rng)
+        model.w2[1, 2] = bad
+        path = tmp_path / "ck.bin"
+        save_checkpoint(model, path)
+        with pytest.raises(DataFormatError) as exc:
+            load_checkpoint(path)
+        assert str(exc.value) == f"{path}: checkpoint weights must be finite"
 
     def test_bytes_pin_the_format(self, tmp_path, rng):
         model = init_model(6, 16, 8, 10, rng)
