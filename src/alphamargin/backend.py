@@ -54,15 +54,16 @@ def _weights(z, q, e):
     return qw, qw * zp
 
 
-def f_prime_inv(q, alpha):
-    """f'(1/q) of f'(u) = (u**(alpha-1) - 1)/(alpha-1), as expm1: alpha -> 1 keeps its digits."""
-    return np.expm1(-(alpha - 1.0) * np.log(q)) / (alpha - 1.0)
+def f_prime_inv(log_q, alpha):
+    """f'(1/q) of f'(u) = (u**(alpha-1) - 1)/(alpha-1) from log q, as expm1: the one f'."""
+    return np.expm1(-(alpha - 1.0) * log_q) / (alpha - 1.0)
 
 
 def _bracket(theta, q, alpha):
     """[theta_t - f'(1/q_t), theta_t - f'(1/sum(q))] per row, t = argmax theta."""
     t = (np.arange(len(theta)), np.argmax(theta, axis=1))
-    return theta[t] - f_prime_inv(q[t], alpha), theta[t] - f_prime_inv(q.sum(axis=1), alpha)
+    lo = theta[t] - f_prime_inv(np.log(q[t]), alpha)
+    return lo, theta[t] - f_prime_inv(np.log(q.sum(axis=1)), alpha)
 
 
 def _solve_block(theta, q, alpha, tol, max_iters, P, taus):

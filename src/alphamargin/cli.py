@@ -116,11 +116,16 @@ def read_train_config(path, required=_REQUIRED):
 # subcommands
 
 def output_dir(path):
-    """path as the directory a subcommand writes into; a path that exists and
-    is not a directory is refused before any work is done."""
+    """path as the directory a subcommand writes into. The path, or else its
+    nearest existing ancestor, must be a directory; if not, it is refused
+    before any work is done."""
     path = Path(path)
-    if path.exists() and not path.is_dir():
-        raise UsageError(f"output directory {path} exists and is not a directory")
+    for base in (path, *path.parents):
+        if base.exists():
+            if not base.is_dir():
+                at = "" if base == path else f": {base}"
+                raise UsageError(f"output directory {path}{at} exists and is not a directory")
+            break
     return path
 
 
@@ -218,7 +223,10 @@ def cmd_eval(args):
         except ValueError as exc:
             raise DataFormatError(f"{args.dataset}: {exc}") from exc
     embeddings = trainer.embed(model, dataset.points)
-    scores = evalkit.score_trials(embeddings, trials)
+    try:
+        scores = evalkit.score_trials(embeddings, trials)
+    except IndexError as exc:  # generated trials are in range by construction
+        raise DataFormatError(f"{args.trials}: {exc}") from exc
     det = evalkit.det_points(scores)
     out_dir.mkdir(parents=True, exist_ok=True)
     evalkit.write_det_csv(det, out_dir / "det.csv")
@@ -354,7 +362,7 @@ def main(argv=None):
     except MemoryError as exc:  # a size asked for by the config, such as a huge hidden_dim
         print(f"usage error: out of memory ({exc})", file=sys.stderr)
         return 1
-    except (DataFormatError, OSError, IndexError) as exc:  # OSError: a path not read or written
+    except (DataFormatError, OSError) as exc:  # OSError: a path not read or written
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -124,33 +124,31 @@ def _check_measure(q, k=None):
 
 
 def f_value(u, params):
-    """Generator f(u) = ((u**a - 1) - a*(u - 1)) / (a*(a - 1)) for u >= 0."""
+    """Generator f(u) = ((u**a - 1) - a*(u - 1))/(a*(a - 1)), u >= 0, as (u*f'(u) - (u - 1))/a."""
     a = params.alpha
     u = np.asarray(u, dtype=np.float64)
     if np.any(u < 0.0):
         raise ValueError("f is only defined for u >= 0")
-    val = ((u**a - 1.0) - a * (u - 1.0)) / (a * (a - 1.0))
+    with np.errstate(divide="ignore"):  # log 0 = -inf gives f'(0) = -1/(a-1)
+        val = (u * backend.f_prime_inv(-np.log(u), a) - (u - 1.0)) / a
     return float(val) if val.ndim == 0 else val
 
 
 def f_prime(u, params):
-    """Derivative f'(u) = (u**(a-1) - 1) / (a-1); strictly increasing."""
+    """f'(u) = (u**(a-1) - 1)/(a-1), strictly increasing: backend.f_prime_inv at log q = -log u."""
     a = params.alpha
     u = np.asarray(u, dtype=np.float64)
     if np.any(u < 0.0) or (a < 2.0 and np.any(u == 0.0)):
         raise ValueError("f' requires u > 0 (u = 0 is allowed only for alpha >= 2)")
-    val = (u ** (a - 1.0) - 1.0) / (a - 1.0)
+    with np.errstate(divide="ignore"):  # log 0 = -inf gives f'(0) = -1/(a-1)
+        val = backend.f_prime_inv(-np.log(u), a)
     return float(val) if val.ndim == 0 else val
 
 
 def f_conj_prime(v, params):
-    """Derivative of the convex conjugate: [1 + (a-1)*v]_+ ** (1/(a-1))."""
-    a = params.alpha
-    v = np.asarray(v, dtype=np.float64)
-    z = 1.0 + (a - 1.0) * v
-    out = np.zeros_like(z)
-    pos = z > 0.0
-    out[pos] = z[pos] ** (1.0 / (a - 1.0))
+    """Conjugate's derivative [1 + (a-1)*v]_+ ** (1/(a-1)): backend._weights' power, at q = 1."""
+    am1 = params.alpha - 1.0
+    out = backend._weights(1.0 + am1 * np.asarray(v, dtype=np.float64), 1.0, 1.0 / am1 - 1.0)[1]
     return float(out) if out.ndim == 0 else out
 
 

@@ -180,7 +180,8 @@ def make_trials(labels, n_genuine, n_impostor, seed):
     pair, grp = rng.integers(len(multi)) over the identities with two or more
     images in order of first appearance, then rng.choice(len(grp), 2,
     replace=False) over its images in index order; per impostor pair,
-    rng.integers(n, size=2), kept if the two labels differ.
+    rng.integers(n, size=2), kept if the two labels differ. A Generator seed
+    ends where the loop leaves it.
     """
     labels = np.asarray(labels)
     n = len(labels)
@@ -198,14 +199,17 @@ def make_trials(labels, n_genuine, n_impostor, seed):
     sizes = counts[multi].astype(np.uint64)
     pairs = _genuine_pairs(rng, members, first[multi], sizes, n_genuine)
     accept = 1.0 - np.sum((counts / n) ** 2)  # P(a random pair has two labels)
+    ahead = copy.deepcopy(rng)
     chunks = [pairs]
     made = 0
     while made < n_impostor:
         need = n_impostor - made  # 10% spare rows: one draw nearly always suffices
-        draw = rng.integers(n, size=(int(need / accept * 1.1) + 16, 2))
-        draw = draw[labels[draw[:, 0]] != labels[draw[:, 1]]][:need]
-        chunks.append(draw)
-        made += len(draw)
+        draw = ahead.integers(n, size=(int(need / accept * 1.1) + 16, 2))
+        kept = np.flatnonzero(labels[draw[:, 0]] != labels[draw[:, 1]])[:need]
+        chunks.append(draw.take(kept, axis=0))  # take gathers rows ~10x faster than draw[kept]
+        made += len(kept)
+        # rng skips the candidates the loop draws: none past the last one kept
+        rng.integers(n, size=(int(kept[-1]) + 1 if made == n_impostor else len(draw), 2))
     ij = np.concatenate(chunks)
     trials = np.zeros(len(ij), TRIAL_DTYPE)
     trials["i"], trials["j"] = ij.T
@@ -285,9 +289,7 @@ def det_points(scores: TrialScoreSet):
 
 
 def _float_reprs(col):
-    """repr of each float of col, formatting each run of equal values once."""
-    if len(col) == 0:
-        return []
+    """repr of each float of a nonempty col, formatting each run of equal values once."""
     bits = col.view(np.uint64)  # equal bits: -0.0 and 0.0 stay apart
     starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
     text = np.array([repr(x) for x in col[starts].tolist()], dtype=object)

@@ -126,11 +126,14 @@ def _fy_values(Theta, ys, Q, P, taus, alpha):
     With p = q * z**(1/(a-1)) at tau, sum_j q_j f(p_j/q_j) = (<p, theta> -
     (tau + 1) * sum(p) + sum(q)) / a and D_f(y:q) = (sum(q) - q_y)/a +
     q_y f(1/q_y), so the sum(q) terms cancel and no (B, k) power is needed.
+    This is the primal value at the solved posterior, consistent with the
+    gradient p - y; core.alpha_softmax reads the tau-stationary dual instead,
+    which here would miss the divergence sums by up to 4.6e-12 relative.
     """
     rows = np.arange(len(ys))
     am1 = alpha - 1.0
     q_y = Q[rows, ys]
-    target = (backend.f_prime_inv(q_y, alpha) - (1.0 - q_y)) / alpha  # q_y f(1/q_y)
+    target = (backend.f_prime_inv(np.log(q_y), alpha) - (1.0 - q_y)) / alpha  # q_y f(1/q_y)
     p_theta = np.sum(P * Theta, axis=1)
     return (am1 * p_theta + (taus + 1.0) * P.sum(axis=1) - q_y) / alpha + target - Theta[rows, ys]
 

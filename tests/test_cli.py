@@ -431,6 +431,9 @@ class TestEval:
             ]
         )
         assert code == 2
+        err = capsys.readouterr().err
+        want = f"{trials_path}: trial index (0, 9999) out of range for 64 embeddings"
+        assert err == f"data error: {want}\n"
 
 
     def _eval(self, tmp_path, ckpt, dataset, *extra):
@@ -743,6 +746,27 @@ class TestFileFaults:
         err = _assert_refused(run(argv), capsys, 1, "usage")
         assert err == f"usage error: output directory {out} exists and is not a directory\n"
         assert out.read_text() == "keep"
+
+    @pytest.mark.parametrize("below", ["sub", "sub/deeper"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_out_dir_below_a_file(self, tmp_path, run_files, capsys, monkeypatch, command, below):
+        # refused before the checkpoint or the dataset is read or a batch trained
+        for mod, name in ((synthdata, "load"), (trainer, "train"), (trainer, "load_checkpoint")):
+            monkeypatch.setattr(mod, name, None)
+        afile = tmp_path / "afile"
+        afile.write_text("keep")
+        out = afile / below
+        if command == "train":
+            argv = ["train", str(write_config(tmp_path / "o.ini", run_files["dataset"], out))]
+        else:
+            argv = ["eval", "--checkpoint", str(run_files["checkpoint"]),
+                    "--dataset", str(run_files["dataset"]), "--out-dir", str(out)]
+        before = sorted(tmp_path.rglob("*"))
+        err = _assert_refused(run(argv), capsys, 1, "usage")
+        want = f"output directory {out}: {afile} exists and is not a directory"
+        assert err == f"usage error: {want}\n"
+        assert sorted(tmp_path.rglob("*")) == before
+        assert afile.read_text() == "keep"
 
     @pytest.mark.parametrize("flag", ["--dataset", "--trials"])
     def test_eval_input_naming_a_directory(self, tmp_path, run_files, capsys, flag):

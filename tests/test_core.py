@@ -86,6 +86,39 @@ class TestGenerator:
                 assert f_conj_prime(f_prime(u, p), p) == pytest.approx(u, rel=1e-12)
 
 
+class TestGeneratorAccuracy:
+    def test_against_high_precision_reference(self):
+        # f' is expm1((a-1) log u)/(a-1) and f = (u f'(u) - (u - 1))/a, whose
+        # cancellation near u = 1 costs about eps/|u - 1| relative: hence the
+        # f bound of each band of u; f' keeps its digits everywhere
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(14)
+        n = 100
+
+        def near_one(lo, hi):  # 1 -+ d, d log-uniform in [10**lo, 10**hi)
+            return 1.0 + rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(lo, hi, n)
+
+        bands = {  # name: (u, bound on f's relative error)
+            "1e-9 <= |u-1| < 1e-6": (near_one(-9, -6), 1e-6),
+            "1e-6 <= |u-1| <= 1e-2": (near_one(-6, -2), 1e-8),
+            "u in [1e-3, 1e3]": (10 ** rng.uniform(-3, 3, n), 1e-13),
+        }
+        with mpmath.workdps(60):
+            for a in (1.0001, 1.01, 1.25, 1.5, 2.0, 3.0):
+                params = AlphaParams(a)
+                A = mpmath.mpf(a)
+                for name, (u, bound) in bands.items():
+                    worst_fp = worst_f = 0.0
+                    for x, fp, f in zip(u, f_prime(u, params), f_value(u, params)):
+                        U = mpmath.mpf(float(x))
+                        ref_fp = (U ** (A - 1) - 1) / (A - 1)
+                        ref_f = ((U**A - 1) - A * (U - 1)) / (A * (A - 1))
+                        worst_fp = max(worst_fp, float(abs(mpmath.mpf(float(fp)) / ref_fp - 1)))
+                        worst_f = max(worst_f, float(abs(mpmath.mpf(float(f)) / ref_f - 1)))
+                    assert worst_fp <= 1e-14, (a, name, worst_fp)
+                    assert worst_f <= bound, (a, name, worst_f)
+
+
 class TestDivergence:
     def test_vertex_against_uniform_measure(self):
         assert divergence([1.0, 0.0], [1.0, 1.0], A2) == pytest.approx(0.5)

@@ -138,6 +138,11 @@ class TestDetPoints:
         back = [[float(x) for x in ln.split(",")] for ln in lines[1:]]
         assert back == rows.tolist()
 
+    def test_csv_of_no_rows_is_the_header(self, tmp_path):
+        path = tmp_path / "det.csv"
+        write_det_csv([], path)
+        assert path.read_bytes() == b"far,frr,threshold\r\n"
+
 
 class TestScoreTrials:
     def test_cosine_values(self):
@@ -535,6 +540,19 @@ class TestMatchesLoopReference:
         make = {"generator": np.random.default_rng, "seed_sequence": np.random.SeedSequence}[kind]
         got = make_trials(labels, n_genuine, 200, make(7)).tolist()
         assert got == make_trials_loop_reference(labels, n_genuine, 200, make(7))
+
+    @pytest.mark.parametrize(
+        "labels, n_impostor",
+        [(np.repeat(np.arange(30), 4), n) for n in (0, 1, 200, 5000)]
+        + [(np.array([0] * 99 + [1]), 5)],  # several bulk impostor draws
+        ids=["even-0", "even-1", "even-200", "even-5000", "split-99-to-1-5"],
+    )
+    def test_generator_ends_where_the_loop_leaves_it(self, labels, n_impostor):
+        for seed in range(10):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            make_trials(labels, 50, n_impostor, rng)
+            make_trials_loop_reference(labels, 50, n_impostor, ref)
+            assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_split_99_to_1_redraws(self, monkeypatch):
         # with 2% of random pairs usable, some seeds need more than one bulk

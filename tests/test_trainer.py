@@ -136,6 +136,33 @@ class TestBackwardStep:
         with pytest.raises(FloatingPointError):
             loss_and_grads(model, ds.points[:8], ds.labels[:8], cfg.loss, cfg.alpha)
 
+    def test_nonfinite_loss_gradient_aborts(self, monkeypatch):
+        # finite cosines, but a loss gradient dC that is not finite
+        def nan_grad(C, ys, loss_cfg, params):
+            dC = np.zeros_like(C)
+            dC[0, 1] = np.nan
+            return np.zeros(len(ys)), dC, np.zeros_like(C)
+
+        monkeypatch.setattr(trainer, "batch_loss_and_cosine_grad", nan_grad)
+        ds = small_dataset()
+        model = init_model(ds.d, 8, ds.d, ds.k, np.random.default_rng(3))
+        cfg = config()
+        with pytest.raises(FloatingPointError, match="non-finite loss gradient"):
+            loss_and_grads(model, ds.points[:8], ds.labels[:8], cfg.loss, cfg.alpha)
+
+    def test_overflowing_parameter_gradient_aborts(self):
+        # hidden unit 0 is exactly 0, so its huge outgoing weights leave the
+        # cosines and dC finite, while dH = dZ @ w2 overflows into w1's gradient
+        ds = small_dataset()
+        model = init_model(ds.d, 8, ds.d, ds.k, np.random.default_rng(3))
+        model.w1[0] = 0.0
+        model.w2[:, 0] = 1e308
+        cfg = config()
+        with np.errstate(all="ignore"), pytest.raises(
+            FloatingPointError, match="non-finite gradient for w1"
+        ):
+            loss_and_grads(model, ds.points[:8], ds.labels[:8], cfg.loss, cfg.alpha)
+
 
 class TestReinitializePrototypes:
     def _identity_model(self, d, k):
