@@ -55,7 +55,7 @@ def _weights(z, q, e):
 
 
 def f_prime_inv(log_q, alpha):
-    """f'(1/q) of f'(u) = (u**(alpha-1) - 1)/(alpha-1) from log q, as expm1: the one f'."""
+    """f'(1/q) of f'(u) = (u**(alpha-1) - 1)/(alpha-1) from log q, as expm1: the solver's f'."""
     return np.expm1(-(alpha - 1.0) * log_q) / (alpha - 1.0)
 
 

@@ -123,32 +123,42 @@ def _check_measure(q, k=None):
     return q
 
 
+def _f_prime(u, a):
+    """f'(u) unchecked. backend.f_prime_inv's expm1 form where |(a-1) log u| < 1;
+    beyond, it would amplify the rounding of log u by (a-1)|log u|, and the
+    direct power loses at most a factor e/(e-1) to the subtraction."""
+    with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf gives f'(0) = -1/(a-1)
+        log_u = np.log(u)
+        near = np.abs((a - 1.0) * log_u) < 1.0
+        return np.where(near, backend.f_prime_inv(-log_u, a), (u ** (a - 1.0) - 1.0) / (a - 1.0))
+
+
 def f_value(u, params):
     """Generator f(u) = ((u**a - 1) - a*(u - 1))/(a*(a - 1)), u >= 0, as (u*f'(u) - (u - 1))/a."""
     a = params.alpha
     u = np.asarray(u, dtype=np.float64)
     if np.any(u < 0.0):
         raise ValueError("f is only defined for u >= 0")
-    with np.errstate(divide="ignore"):  # log 0 = -inf gives f'(0) = -1/(a-1)
-        val = (u * backend.f_prime_inv(-np.log(u), a) - (u - 1.0)) / a
+    val = (u * _f_prime(u, a) - (u - 1.0)) / a
     return float(val) if val.ndim == 0 else val
 
 
 def f_prime(u, params):
-    """f'(u) = (u**(a-1) - 1)/(a-1), strictly increasing: backend.f_prime_inv at log q = -log u."""
+    """f'(u) = (u**(a-1) - 1)/(a-1), strictly increasing."""
     a = params.alpha
     u = np.asarray(u, dtype=np.float64)
     if np.any(u < 0.0) or (a < 2.0 and np.any(u == 0.0)):
         raise ValueError("f' requires u > 0 (u = 0 is allowed only for alpha >= 2)")
-    with np.errstate(divide="ignore"):  # log 0 = -inf gives f'(0) = -1/(a-1)
-        val = backend.f_prime_inv(-np.log(u), a)
+    val = _f_prime(u, a)
     return float(val) if val.ndim == 0 else val
 
 
 def f_conj_prime(v, params):
-    """Conjugate's derivative [1 + (a-1)*v]_+ ** (1/(a-1)): backend._weights' power, at q = 1."""
+    """Conjugate's derivative [1 + (a-1)*v]_+ ** (1/(a-1)); the power is positive
+    for every a > 1, so v = inf gives inf and v = -inf gives 0."""
     am1 = params.alpha - 1.0
-    out = backend._weights(1.0 + am1 * np.asarray(v, dtype=np.float64), 1.0, 1.0 / am1 - 1.0)[1]
+    with np.errstate(over="ignore"):
+        out = np.maximum(1.0 + am1 * np.asarray(v, dtype=np.float64), 0.0) ** (1.0 / am1)
     return float(out) if out.ndim == 0 else out
 
 

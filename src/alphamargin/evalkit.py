@@ -24,7 +24,6 @@ Tie handling: impostor scores equal to the threshold count as accepted
 UnattainableFARError instead of extrapolating.
 """
 
-import copy
 from dataclasses import asdict, dataclass
 from functools import cached_property
 
@@ -125,20 +124,24 @@ def _genuine_pairs(rng, members, first, size, n_pairs):
 
     A round is numpy's 32-bit Lemire draws (a range of 1 takes no word) on
     successive next_uint32 words: the group, Floyd's draws in [0, g - 1) and
-    [0, g), and a shuffle draw in [0, 2) that swaps the pair on 0. A copy of
-    rng reads the words ahead, SCORE_BLOCK rounds at a time, as
+    [0, g), and a shuffle draw in [0, 2) that swaps the pair on 0. The words
+    are read from rng, up to SCORE_BLOCK rounds at a time, as
     integers(2**32, dtype=uint32) gives them; each word is mapped as if a
-    round started there, pointer doubling finds the round starts, and rng
-    skips the words used. tests/test_evalkit.py pins these numpy facts.
+    round started there, and pointer doubling finds the round starts. rng is
+    never read past the last round: a pass reads no more words than its
+    rounds take at the least, and the words of a round that ran past them
+    are carried to the next pass. tests/test_evalkit.py pins these numpy
+    facts.
     """
-    ahead = copy.deepcopy(rng)
+    least = int(len(size) > 1) + 2 + int(size.min() > 2)  # words a round takes, bar rejections
     out = np.empty((n_pairs, 2), np.int64)
     words = np.empty(0, np.uint64)
     done = 0
     while done < n_pairs:
-        take = min(n_pairs - done, SCORE_BLOCK)  # a round takes 4 words or fewer, bar rejections
-        fresh = ahead.integers(1 << 32, size=4 * take, dtype=np.uint32)
-        words = np.concatenate([words, fresh.astype(np.uint64)])
+        take = min(n_pairs - done, SCORE_BLOCK)
+        # the carried round takes more words than were carried, each later one least or more
+        fresh = max(len(words) + 1, least) + least * (take - 1) - len(words)
+        words = np.concatenate([words, rng.integers(1 << 32, size=fresh, dtype=np.uint32)])
         at = np.arange(len(words))
         grp = np.zeros(len(words), np.int64)
         if len(size) > 1:
@@ -162,11 +165,9 @@ def _genuine_pairs(rng, members, first, size, n_pairs):
             starts[known:2 * known] = nxt[starts[:min(known, take + 1 - known)]]
             nxt, known = nxt[nxt], 2 * known
         s = starts[:-1][starts[1:] <= W]
-        p = int(starts[len(s)])  # words used
         lo, hi = np.where(swap[s], j[s], i[s]), np.where(swap[s], i[s], j[s])
         out[done:done + len(s)] = members[first[grp[s]][:, None] + np.column_stack([lo, hi])]
-        rng.integers(1 << 32, size=p, dtype=np.uint32)
-        words = words[p:]
+        words = words[int(starts[len(s)]):]
         done += len(s)
     return out
 
@@ -180,8 +181,10 @@ def make_trials(labels, n_genuine, n_impostor, seed):
     pair, grp = rng.integers(len(multi)) over the identities with two or more
     images in order of first appearance, then rng.choice(len(grp), 2,
     replace=False) over its images in index order; per impostor pair,
-    rng.integers(n, size=2), kept if the two labels differ. A Generator seed
-    ends where the loop leaves it.
+    rng.integers(n, size=2), kept if the two labels differ. Neither draw
+    reads rng past the loop's last word: each impostor round draws only the
+    candidates still needed, and each candidate gives at most one pair. So a
+    Generator seed ends where the loop leaves it.
     """
     labels = np.asarray(labels)
     n = len(labels)
@@ -197,19 +200,13 @@ def make_trials(labels, n_genuine, n_impostor, seed):
     if n_impostor > 0 and len(counts) < 2:
         raise ValueError("fewer than 2 identities; cannot build impostor trials")
     sizes = counts[multi].astype(np.uint64)
-    pairs = _genuine_pairs(rng, members, first[multi], sizes, n_genuine)
-    accept = 1.0 - np.sum((counts / n) ** 2)  # P(a random pair has two labels)
-    ahead = copy.deepcopy(rng)
-    chunks = [pairs]
+    chunks = [_genuine_pairs(rng, members, first[multi], sizes, n_genuine)]
     made = 0
     while made < n_impostor:
-        need = n_impostor - made  # 10% spare rows: one draw nearly always suffices
-        draw = ahead.integers(n, size=(int(need / accept * 1.1) + 16, 2))
-        kept = np.flatnonzero(labels[draw[:, 0]] != labels[draw[:, 1]])[:need]
+        draw = rng.integers(n, size=(n_impostor - made, 2))
+        kept = np.flatnonzero(labels[draw[:, 0]] != labels[draw[:, 1]])
         chunks.append(draw.take(kept, axis=0))  # take gathers rows ~10x faster than draw[kept]
         made += len(kept)
-        # rng skips the candidates the loop draws: none past the last one kept
-        rng.integers(n, size=(int(kept[-1]) + 1 if made == n_impostor else len(draw), 2))
     ij = np.concatenate(chunks)
     trials = np.zeros(len(ij), TRIAL_DTYPE)
     trials["i"], trials["j"] = ij.T

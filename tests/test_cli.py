@@ -645,6 +645,38 @@ class TestStats:
             assert run(stats + ["--config", str(bad)]) == 1
             assert capsys.readouterr().err == f"usage error: missing [{section}] {key}\n"
 
+    @pytest.mark.parametrize("mode", ["q_margin", "a3m", "cosface"])
+    def test_reproduces_the_last_metrics_row(self, tmp_path, dataset_path, capsys, mode):
+        # train and stats build the report in two places; on the final
+        # checkpoint and the run's config they must agree bit for bit, here
+        # with the margin still on its ramp and the prototypes re-initialized
+        out = tmp_path / "run"
+        cfg = write_config(
+            tmp_path / "t.ini", dataset_path, out,
+            {
+                ("loss", "mode"): mode, ("alpha", "alpha"): "1.25", ("train", "epochs"): "3",
+                ("loss", "anneal_start"): "1", ("loss", "anneal_end"): "4",
+                ("train", "reinit_epoch"): "2",
+            },
+        )
+        assert run(["train", str(cfg)]) == 0
+        assert "EVENT epoch 2" in capsys.readouterr().out
+        stats = ["stats", "--checkpoint", str(out / "checkpoint.bin"), "--dataset", str(dataset_path)]
+        assert run(stats + ["--config", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        header, *rows = (out / "metrics.csv").read_text().splitlines()
+        last = dict(zip(header.split(","), rows[-1].split(",")))
+        assert last["epoch"] == "3"
+        columns = {
+            "misaligned_identity_fraction": "misalignment_ids",
+            "misaligned_image_fraction": "misalignment_images",
+            "posterior_sparsity": "posterior_sparsity",
+            "onehot_fraction": "onehot_fraction",
+        }
+        assert {key: repr(report[key]) for key in columns} == {
+            key: last[column] for key, column in columns.items()
+        }
+
     def test_json_report(self, tmp_path, dataset_path, capsys):
         out = tmp_path / "run"
         cfg = write_config(tmp_path / "t.ini", dataset_path, out)

@@ -79,6 +79,26 @@ class TestGenerator:
         assert f_conj_prime(-2.0, A2) == 0.0
         assert f_conj_prime(0.5, A2) == pytest.approx(1.5)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("a", [1.25, 1.5, 2.0, 3.0, 10.0])
+    def test_f_conj_prime_at_the_ends_of_the_line(self, a):
+        # the power 1/(a-1) is positive for every a > 1: inf and -inf map to
+        # inf and 0, and a value past the double range to inf, all silently
+        mpmath = pytest.importorskip("mpmath")
+        p = AlphaParams(a)
+        assert f_conj_prime(np.inf, p) == np.inf
+        assert f_conj_prime(-np.inf, p) == 0.0
+        assert np.isnan(f_conj_prime(np.nan, p))
+        with mpmath.workdps(60):
+            A = mpmath.mpf(a)
+            ref = (1 + (A - 1) * mpmath.mpf(1e300)) ** (1 / (A - 1))
+            if ref > np.finfo(np.float64).max:
+                assert f_conj_prime(1e300, p) == np.inf
+            else:
+                assert f_conj_prime(1e300, p) == pytest.approx(float(ref), rel=1e-14)
+        got = f_conj_prime(np.array([np.inf, 1e300, -np.inf, np.nan]), p)
+        assert got[0] == np.inf and got[2] == 0.0 and np.isnan(got[3])
+
     def test_conjugate_inverts_derivative(self):
         for a in (1.25, 1.5, 2.0):
             p = AlphaParams(a)
@@ -88,9 +108,10 @@ class TestGenerator:
 
 class TestGeneratorAccuracy:
     def test_against_high_precision_reference(self):
-        # f' is expm1((a-1) log u)/(a-1) and f = (u f'(u) - (u - 1))/a, whose
-        # cancellation near u = 1 costs about eps/|u - 1| relative: hence the
-        # f bound of each band of u; f' keeps its digits everywhere
+        # f' is expm1((a-1) log u)/(a-1) where |(a-1) log u| < 1 and the
+        # direct power beyond, so it keeps its digits from u = 1e-300 to 1e100;
+        # f = (u f'(u) - (u - 1))/a, whose cancellation near u = 1 costs about
+        # eps/|u - 1| relative: hence the f bound of each band of u
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(14)
         n = 100
@@ -102,6 +123,10 @@ class TestGeneratorAccuracy:
             "1e-9 <= |u-1| < 1e-6": (near_one(-9, -6), 1e-6),
             "1e-6 <= |u-1| <= 1e-2": (near_one(-6, -2), 1e-8),
             "u in [1e-3, 1e3]": (10 ** rng.uniform(-3, 3, n), 1e-13),
+            # far from 1, where expm1 would amplify the rounding of log u by (a-1)|log u|;
+            # u**a stays finite for every a below
+            "u in [1e3, 1e100]": (10 ** rng.uniform(3, 100, n), 1e-15),
+            "u in [1e-300, 1e-3]": (10 ** rng.uniform(-300, -3, n), 1e-15),
         }
         with mpmath.workdps(60):
             for a in (1.0001, 1.01, 1.25, 1.5, 2.0, 3.0):

@@ -403,6 +403,9 @@ def _reprs(rows):
 # of a pre-sorted copy can keep the other zero, and repr(t) would change
 _ZEROS = np.random.default_rng(1).choice([-0.0, 0.0, 0.5, -0.5, 0.25], size=2400)
 
+# identities of 1 to 5 images
+_LONG_TAIL = np.repeat(np.arange(40), np.random.default_rng(9).integers(1, 6, 40))
+
 # (genuine, impostor) score sets for the sweep parity tests
 _SWEEP_CASES = {
     "signed_zero_ties_large": (_ZEROS[:800], _ZEROS[800:]),
@@ -516,7 +519,7 @@ class TestMatchesLoopReference:
         "labels",
         [
             np.random.default_rng(8).integers(0, 50, 300),
-            np.repeat(np.arange(40), np.random.default_rng(9).integers(1, 6, 40)),
+            _LONG_TAIL,
             np.array([0, 0, 1, 1]),
             np.array([0] * 99 + [1]),  # most random pairs share a label
         ],
@@ -534,24 +537,29 @@ class TestMatchesLoopReference:
     @pytest.mark.parametrize("n_genuine", [50, SCORE_BLOCK, 3 * SCORE_BLOCK - 7])
     @pytest.mark.parametrize("kind", ["generator", "seed_sequence"])
     def test_make_trials_from_a_generator_or_seed_sequence(self, kind, n_genuine):
-        # default_rng(seed) returns a Generator seed itself, so the bulk
-        # genuine draw must read ahead from a copy of it
+        # default_rng(seed) returns a Generator seed itself, so the genuine
+        # draw must read no word past its last round, or the impostors move
         labels = np.repeat(np.arange(30), 4)
         make = {"generator": np.random.default_rng, "seed_sequence": np.random.SeedSequence}[kind]
         got = make_trials(labels, n_genuine, 200, make(7)).tolist()
         assert got == make_trials_loop_reference(labels, n_genuine, 200, make(7))
 
     @pytest.mark.parametrize(
-        "labels, n_impostor",
-        [(np.repeat(np.arange(30), 4), n) for n in (0, 1, 200, 5000)]
-        + [(np.array([0] * 99 + [1]), 5)],  # several bulk impostor draws
-        ids=["even-0", "even-1", "even-200", "even-5000", "split-99-to-1-5"],
+        "labels, n_genuine, n_impostor",
+        [(np.repeat(np.arange(30), 4), 50, n) for n in (0, 1, 200, 5000)]
+        + [(np.array([0] * 99 + [1]), 50, 5)]  # several impostor rounds
+        # identities of 1, 2 and more images: rounds of 3 and of 4 words
+        + [(_LONG_TAIL, n, 200) for n in (50, SCORE_BLOCK + 3)]
+        # every identity of 2 images: every round takes the least, 3 words
+        + [(np.repeat(np.arange(30), 2), n, 200) for n in (50, SCORE_BLOCK + 3)],
+        ids=["even-0", "even-1", "even-200", "even-5000", "split-99-to-1-5",
+             "long-tail-50", "long-tail-blocks", "all-pairs-50", "all-pairs-blocks"],
     )
-    def test_generator_ends_where_the_loop_leaves_it(self, labels, n_impostor):
+    def test_generator_ends_where_the_loop_leaves_it(self, labels, n_genuine, n_impostor):
         for seed in range(10):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            make_trials(labels, 50, n_impostor, rng)
-            make_trials_loop_reference(labels, 50, n_impostor, ref)
+            make_trials(labels, n_genuine, n_impostor, rng)
+            make_trials_loop_reference(labels, n_genuine, n_impostor, ref)
             assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_split_99_to_1_redraws(self, monkeypatch):
