@@ -1,8 +1,8 @@
 """The alpha-softargmax solver: safeguarded Newton on the normalizing shift tau.
 
 posterior_batch solves (B, k) rows and posterior one row; both raise
-SolverError, naming the row, when a row's solve fails or its posterior does
-not sum to 1 within 1e-8.
+SolverError naming the first failing row. A row fails iff its written posterior
+does not sum to 1 within SUM_TOL, and every kind of failure ends that way.
 
 For logits theta, reference measure q and alpha > 1 the posterior is
 p_j = q_j * [z_j]_+ ** (1/(alpha-1)) with z_j = 1 + (alpha-1)*(theta_j - tau),
@@ -66,28 +66,24 @@ def _bracket(theta, q, alpha):
     return lo, theta[t] - f_prime_inv(np.log(q.sum(axis=1)), alpha)
 
 
-def _solve_block(theta, q, alpha, tol, max_iters, P, taus):
+def _solve_block(theta, q, alpha, tol, max_iters, P, taus, start):
     """Solve the rows of a C-contiguous (b, k) block into P (zeroed) and taus.
 
-    Returns {row: message} for the rows that fail: a bracket that is not
-    finite, max_iters sweeps without an exit, or a posterior that does not sum
-    to 1 within SUM_TOL at the exit (at alpha > 2 a class near its clip can
-    hold more mass than any double tau resolves). A sweep at tau sums only
-    the row's candidate columns, those with z > 0 at its lower bracket end:
-    tau never falls below it, so every other column stays clipped.
+    A sweep at tau sums only the row's candidate columns, those with z > 0 at
+    its lower bracket end: tau never falls below it, so every other column
+    stays clipped. A row fails iff its written posterior does not sum to 1
+    within SUM_TOL, and every kind of failure ends that way: a non-finite
+    bracket leaves the row no candidates, max_iters sweeps leave it unwritten,
+    and at alpha > 2 a class near its clip can hold more mass than any double
+    tau resolves. Raises SolverError for the first, as row start + i.
     """
     am1 = alpha - 1.0
     e = 1.0 / am1 - 1.0
     b, k = theta.shape
-    lo, hi = _bracket(theta, q, alpha)
-    live = np.isfinite(lo) & np.isfinite(hi)
-    errors = {
-        int(i): f"bracket [{float(lo[i])!r}, {float(hi[i])!r}] is not finite "
-        "(logits or reference measure out of the solver's range)"
-        for i in np.flatnonzero(~live)
-    }
-    tau = lo
-    at = np.flatnonzero((1.0 + am1 * (theta - lo[:, None]) > 0.0) & live[:, None])
+    lo0, hi0 = _bracket(theta, q, alpha)  # the sweeps overwrite lo, hi of dead rows too
+    finite = np.isfinite(lo0) & np.isfinite(hi0)
+    lo, hi, tau, live = lo0, hi0, lo0, finite
+    at = np.flatnonzero((1.0 + am1 * (theta - lo0[:, None]) > 0.0) & finite[:, None])
     crow = at // k
     th_c = theta.reshape(-1)[at]
     q_c = q.reshape(-1)[at]
@@ -115,28 +111,33 @@ def _solve_block(theta, q, alpha, tol, max_iters, P, taus):
             fin = done[crow]
             P_flat[at[fin]] = qwz[fin]
             taus[done] = tau[done]
-            live &= ~done
+            live = live & ~done  # not in place: live starts as finite
             if not np.count_nonzero(live):
                 break
             # drop the finished rows, and the columns clipped at a new lower end
             keep = np.flatnonzero(~fin & ((z > 0.0) | ~up[crow]))
             crow, at, th_c, q_c = crow[keep], at[keep], th_c[keep], q_c[keep]
         tau = np.where((lo < newton) & (newton <= hi), newton, 0.5 * (lo + hi))
-    else:
-        for i in np.flatnonzero(live):
-            errors[int(i)] = (
-                f"solver did not converge in {max_iters} iterations (bracket width "
-                f"{hi[i] - lo[i]:.3e}, tol {tol:.3e}, posterior sum {float(S[i])!r})"
-            )
 
     totals = P.sum(axis=1)
-    for i in np.flatnonzero(~(np.abs(totals - 1.0) <= SUM_TOL)):
-        errors.setdefault(
-            int(i),
-            f"posterior sums to {float(totals[i])!r}, not 1: no double tau normalizes it "
-            "(logits or reference measure out of the solver's range)",
+    failed = np.flatnonzero(~(np.abs(totals - 1.0) <= SUM_TOL))
+    if not failed.size:
+        return
+    i = failed[0]
+    out_of_range = "(logits or reference measure out of the solver's range)"
+    if not finite[i]:
+        why = f"bracket [{float(lo0[i])!r}, {float(hi0[i])!r}] is not finite " + out_of_range
+    elif live[i]:
+        why = (
+            f"solver did not converge in {max_iters} iterations (bracket width "
+            f"{hi[i] - lo[i]:.3e}, tol {tol:.3e}, posterior sum {float(S[i])!r})"
         )
-    return errors
+    else:
+        why = (
+            f"posterior sums to {float(totals[i])!r}, not 1: no double tau normalizes it "
+            + out_of_range
+        )
+    raise SolverError(f"row {start + i}: {why}")
 
 
 def _solve(theta, q, alpha, tol, max_iters):
@@ -151,14 +152,11 @@ def _solve(theta, q, alpha, tol, max_iters):
     B, k = theta.shape
     P = np.zeros((B, k))
     taus = np.empty(B)
-    # non-finite sums and steps are caught by the bracket and step checks
+    # a non-finite bracket fails the sum check, and a non-finite step is replaced by bisection
     with np.errstate(all="ignore"):
         for start in range(0, B, BLOCK_ROWS):
             rows = slice(start, start + BLOCK_ROWS)
-            errors = _solve_block(theta[rows], q[rows], alpha, tol, max_iters, P[rows], taus[rows])
-            if errors:
-                row = min(errors)
-                raise SolverError(f"row {start + row}: {errors[row]}")
+            _solve_block(theta[rows], q[rows], alpha, tol, max_iters, P[rows], taus[rows], start)
     return P, taus
 
 

@@ -139,7 +139,8 @@ def f_value(u, params):
     u = np.asarray(u, dtype=np.float64)
     if np.any(u < 0.0):
         raise ValueError("f is only defined for u >= 0")
-    val = (u * _f_prime(u, a) - (u - 1.0)) / a
+    with np.errstate(over="ignore", invalid="ignore"):  # u*f'(u) overflows; at u = inf, inf - inf
+        val = np.where(u == np.inf, np.inf, (u * _f_prime(u, a) - (u - 1.0)) / a)
     return float(val) if val.ndim == 0 else val
 
 

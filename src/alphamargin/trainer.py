@@ -9,7 +9,7 @@ back to the unit sphere after every step.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -145,22 +145,14 @@ def loss_and_grads(model: Model, X, ys, loss_cfg, params):
     return float(values.mean()), grads, P
 
 
-@dataclass
-class SGDState:
-    velocity: dict = field(default_factory=dict)
-
-    def reset(self, names):
-        for name in names:
-            self.velocity.pop(name, None)
-
-
-def sgd_step(model: Model, grads, state: SGDState, lr, momentum, weight_decay):
+def sgd_step(model: Model, grads, velocity, lr, momentum, weight_decay):
+    """One momentum step; velocity maps a parameter name to its momentum buffer."""
     for name in Model.PARAM_NAMES:
         p = getattr(model, name)
         g = grads[name] + weight_decay * p
-        v = state.velocity.get(name)
+        v = velocity.get(name)
         v = g if v is None else momentum * v + g
-        state.velocity[name] = v
+        velocity[name] = v
         setattr(model, name, p - lr * v)
     # keep the head on the unit sphere
     model.prototypes = _unit_rows(model.prototypes)
@@ -217,7 +209,7 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
     rng = np.random.default_rng(cfg.seed)
     d_emb = cfg.embed_dim if cfg.embed_dim is not None else dataset.d
     model = init_model(dataset.d, cfg.hidden_dim, d_emb, dataset.k, rng)
-    state = SGDState()
+    velocity = {}
     metrics, events = [], []
 
     # a diverging run raises FloatingPointError instead of going on with inf/nan weights
@@ -233,7 +225,7 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
                     mean_loss, grads, _ = loss_and_grads(
                         model, dataset.points[idx], dataset.labels[idx], loss_cfg, cfg.alpha
                     )
-                    sgd_step(model, grads, state, lr, cfg.momentum, cfg.weight_decay)
+                    sgd_step(model, grads, velocity, lr, cfg.momentum, cfg.weight_decay)
                 except FloatingPointError as exc:
                     raise FloatingPointError(
                         f"training diverged at epoch {epoch}, batch {batch} (lr {lr!r}): {exc}"
@@ -245,7 +237,7 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
                 model.prototypes = reinitialize_prototypes(
                     dataset.points, dataset.labels, dataset.k, model, rng
                 )
-                state.reset(["prototypes"])
+                velocity.pop("prototypes", None)
                 events.append(
                     f"epoch {epoch}: prototypes re-initialized, head optimizer state reset"
                 )

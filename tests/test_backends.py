@@ -172,10 +172,28 @@ class TestBatchMatchesRowLoop:
             else:  # q_t = 1e300 clips every class: the posterior sums to 0
                 q[i, 5] = 1e300
         expected = _first_row_error(theta, q, 1.5, 1e-10, 3)
-        assert expected.startswith(f"row {min(rows)}: ")
-        reason = {"nan": "not finite", "slow": "did not converge", "massless": "sums to 0.0"}
-        assert reason[rows[min(rows)]] in expected
+        verbatim = {
+            "nan": "bracket [nan, nan] is not finite (logits or reference measure out of the "
+            "solver's range)",
+            "slow": "solver did not converge in 3 iterations (bracket width 1.601e-01, tol "
+            "1.000e-10, posterior sum 1.0296194666835214)",
+            "massless": "posterior sums to 0.0, not 1: no double tau normalizes it (logits or "
+            "reference measure out of the solver's range)",
+        }
+        assert expected == f"row {min(rows)}: {verbatim[rows[min(rows)]]}"
         assert _raised(backend.posterior_batch, theta, q, 1.5, 1e-10, 3) == expected
+
+    def test_an_infinite_bracket_names_its_own_ends(self):
+        # q_t = 5e-324 at alpha = 3 puts lo at -inf; the sweeps of row 0 also
+        # move the bracket of the dead row 1, and the message keeps its ends
+        theta = np.zeros((2, 5))
+        theta[1, 0] = 1.0
+        q = np.ones((2, 5))
+        q[1, 0] = 5e-324
+        assert _raised(backend.posterior_batch, theta, q, 3.0, 1e-10, 200) == (
+            "row 1: bracket [-inf, 1.46875] is not finite (logits or reference measure out "
+            "of the solver's range)"
+        )
 
 
 class TestExits:

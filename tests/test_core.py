@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,20 @@ class TestGeneratorAccuracy:
                         worst_f = max(worst_f, float(abs(mpmath.mpf(float(f)) / ref_f - 1)))
                     assert worst_fp <= 1e-14, (a, name, worst_fp)
                     assert worst_f <= bound, (a, name, worst_f)
+
+    @pytest.mark.parametrize("a", [1.0001, 1.25, 1.5, 2.0, 3.0, 10.0])
+    def test_f_at_the_ends_of_the_double_range(self, a):
+        # f(1e300) ~ u**a / (a (a-1)) is finite only at a = 1.0001; f(inf) is inf, not inf - inf
+        params = AlphaParams(a)
+        u = np.array([np.inf, 1e300, 1e-300, 0.0, 1.0, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = f_value(u, params)
+        big = (1e300**a - 1.0 - a * (1e300 - 1.0)) / (a * (a - 1.0)) if a < 1.01 else np.inf
+        assert f[0] == np.inf
+        assert f[1] == pytest.approx(big, rel=1e-12)
+        assert f[2:4] == pytest.approx([1.0 / a, 1.0 / a], rel=1e-15)
+        assert f[4] == 0.0 and np.isnan(f[5])
 
 
 class TestDivergence:

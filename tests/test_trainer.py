@@ -10,7 +10,6 @@ from alphamargin.losses import AnnealSchedule, MarginConfig
 from alphamargin.synthdata import SynthSpec, generate
 from alphamargin.trainer import (
     Model,
-    SGDState,
     TrainConfig,
     annealed_margin,
     embed,
@@ -72,7 +71,7 @@ class TestBackwardStep:
         model = init_model(4, 8, 4, 5, rng)
         before = {n: p.copy() for n, p in model.params().items()}
         grads = {n: np.zeros_like(p) for n, p in model.params().items()}
-        sgd_step(model, grads, SGDState(), lr=0.1, momentum=0.9, weight_decay=0.0)
+        sgd_step(model, grads, {}, lr=0.1, momentum=0.9, weight_decay=0.0)
         for n in Model.PARAM_NAMES:
             np.testing.assert_allclose(getattr(model, n), before[n], atol=1e-12)
 
