@@ -89,7 +89,7 @@ def _solve_block(theta, q, alpha, tol, max_iters, P, taus, start):
     q_c = q.reshape(-1)[at]
     P_flat = P.reshape(-1)
 
-    for _ in range(max_iters):
+    for _ in range(max_iters if np.count_nonzero(live) else 0):  # no finite bracket, no sweep
         z = 1.0 + am1 * (th_c - tau[crow])
         qw, qwz = _weights(z, q_c, e)
         S = np.bincount(crow, qwz, b)

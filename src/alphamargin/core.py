@@ -95,31 +95,56 @@ class PosteriorDistribution:
         return float(self.probs[hit[0]]) if len(hit) else 0.0
 
 
-def _check_logits(theta, y=None):
-    """The one check of a logit (or cosine) row and, if given, its class index."""
+def _checked_labels(ys, B, k):
+    """ys as (B,) class indices, each an integer (not a bool) in [0, k)."""
+    ys = np.asarray(ys)
+    if ys.shape != (B,):
+        raise ValueError(
+            f"expected one class index per row ({B} rows), got labels of shape {ys.shape}"
+        )
+    if ys.size and ys.dtype.kind not in "iuO":  # an object array holds ints past int64
+        raise IndexError(f"class indices must be integers, got {ys[0].item()!r}")
+    out = np.flatnonzero((ys < 0) | (ys >= k))
+    if out.size:
+        raise IndexError(f"class index {ys[out[0]]} out of range for k={k}")
+    return ys
+
+
+def _checked_measure(q, shape):
+    """q as float64 weights of the given shape, each finite and > 0."""
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != shape:
+        raise ValueError(f"dimension mismatch: weights of shape {q.shape} for logits {shape}")
+    if not np.all(np.isfinite(q)) or np.any(q <= 0.0):
+        raise ValueError("reference measure weights must be finite and > 0")
+    return q
+
+
+def _checked_rows(theta, ys=None, q=None):
+    """The one check of (B, k) logit rows and, if given, their labels ys and measure q."""
+    theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim != 2 or theta.shape[1] < 2:
+        raise ValueError("logits must be (B, k) rows with k >= 2")
+    if ys is not None:
+        ys = _checked_labels(ys, *theta.shape)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("logits must be finite")
+    return theta, ys, None if q is None else _checked_measure(q, theta.shape)
+
+
+def _logit_row(theta):
+    """The shape test of a single-row call's logits: theta, 1-D with k >= 2, as B = 1 rows."""
     theta = np.asarray(theta, dtype=np.float64)
     if theta.ndim != 1 or theta.shape[0] < 2:
         raise ValueError("logits must be a 1-D vector with k >= 2")
-    if y is not None and not 0 <= y < theta.shape[0]:
-        raise IndexError(f"class index {y} out of range for k={theta.shape[0]}")
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("logits must be finite")
-    return theta
+    return theta[None]
 
 
-def _check_weights(q):
-    """The one rule for reference measure weights, of a vector or a batch of rows."""
-    if not np.all(np.isfinite(q)) or np.any(q <= 0.0):
-        raise ValueError("reference measure weights must be finite and > 0")
-
-
-def _check_measure(q, k=None):
+def _measure_vector(q):
+    """The shape test of a single-row call's reference measure: q as a 1-D vector."""
     q = np.asarray(q, dtype=np.float64)
     if q.ndim != 1:
         raise ValueError("reference measure must be a 1-D vector")
-    _check_weights(q)
-    if k is not None and q.shape[0] != k:
-        raise ValueError(f"dimension mismatch: {q.shape[0]} weights for k={k} logits")
     return q
 
 
@@ -168,14 +193,13 @@ def divergence(p, q, params):
     if isinstance(p, PosteriorDistribution):
         p = p.to_dense()
     p = np.asarray(p, dtype=np.float64)
-    q = _check_measure(q, k=p.shape[0])
+    q = _checked_measure(_measure_vector(q), p.shape)
     return float(np.sum(q * f_value(p / q, params)))
 
 
-def _solve_row(theta, q, params, y=None):
+def _solve_row(theta, q, params, ys=None):
     """Checked one-row solve behind every single-vector call: (theta, q, p, tau)."""
-    theta = _check_logits(theta, y)
-    q = _check_measure(q, k=theta.shape[0])
+    (theta,), _, (q,) = _checked_rows(_logit_row(theta), ys, _measure_vector(q)[None])
     p, tau = backend.posterior(theta, q, params.alpha, params.bisect_tol, params.max_iters)
     return theta, q, p, tau
 

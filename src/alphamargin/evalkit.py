@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import backend, losses
+from . import backend, core, losses
 from .errors import UnattainableFARError
 
 
@@ -320,6 +320,8 @@ def avg_relative_improvement(det_ours, det_base, far_lo, far_hi, n_grid=50):
         order = np.argsort(fars)
         return np.interp(grid, fars[order], frrs[order])
 
+    if not 0.0 < far_lo < far_hi <= 1.0:
+        raise ValueError(f"FAR interval must have 0 < far_lo < far_hi <= 1, got {far_lo}, {far_hi}")
     grid = np.logspace(np.log10(far_lo), np.log10(far_hi), n_grid)
     ours = interp(det_ours, grid)
     base = interp(det_base, grid)
@@ -342,7 +344,7 @@ def sparsity_report(embeddings, labels, prototypes, loss_cfg, params) -> Sparsit
     embeddings = np.asarray(embeddings, dtype=np.float64)
     prototypes = np.asarray(prototypes)
     n, k = len(embeddings), len(prototypes)
-    labels = losses._check_labels(labels, (n, k))
+    labels = core._checked_labels(labels, n, k)
     py_zero = np.empty(n, dtype=bool)
     nnz = np.empty(n, dtype=np.intp)
     for start in range(0, n, backend.BLOCK_ROWS):

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from . import backend
-from .core import PosteriorDistribution, _check_logits, _check_weights, _solve_row
+from .core import PosteriorDistribution, _checked_rows, _logit_row, _solve_row
 
 MODES = ("q_margin", "a3m", "cosface", "arcface")
 
@@ -66,21 +66,6 @@ class LossOutput:
     posterior: PosteriorDistribution
 
 
-def _check_labels(ys, shape):
-    """The one check of the class indices ys of a (B, k) batch: one per row,
-    each in [0, k), as the scalar losses require of theirs."""
-    ys = np.asarray(ys)
-    B, k = shape
-    if ys.shape != (B,):
-        raise ValueError(
-            f"expected one class index per row ({B} rows), got labels of shape {ys.shape}"
-        )
-    bad = np.flatnonzero((ys < 0) | (ys >= k))
-    if bad.size:
-        raise IndexError(f"class index {ys[bad[0]]} out of range for k={k}")
-    return ys
-
-
 def margin_logits(C, ys, cfg):
     """Logits Theta (B, k) and reference measure Q of the mode at cosines C (B, k).
 
@@ -89,8 +74,8 @@ def margin_logits(C, ys, cfg):
     unmoved for q_margin. Q is the q_margin measure (target weight
     exp(-s*m), others 1), ones for a3m and None for the cross-entropy modes.
     """
-    C = np.asarray(C, dtype=np.float64)
-    target = (np.arange(C.shape[0]), _check_labels(ys, C.shape))
+    C, ys, _ = _checked_rows(C, ys)
+    target = (np.arange(C.shape[0]), ys)
     Theta = cfg.scale * C
     if cfg.mode == "cosface":
         Theta[target] = cfg.scale * (C[target] - cfg.margin)
@@ -143,7 +128,7 @@ def fy_loss(theta, y, q, params):
 
     The one-row case of fy_loss_batch.
     """
-    theta, q, p, tau = _solve_row(theta, q, params, y)
+    theta, q, p, tau = _solve_row(theta, q, params, [y])
     P = p[None]
     value = _fy_values(theta[None], [y], q[None], P, np.array([tau]), params.alpha)[0]
     return LossOutput(
@@ -155,12 +140,7 @@ def fy_loss(theta, y, q, params):
 
 def fy_loss_batch(Theta, ys, Q, params):
     """Row-wise fy_loss. Returns (values (B,), grads (B,k), posteriors (B,k))."""
-    ys = _check_labels(ys, np.shape(Theta))
-    Theta = np.ascontiguousarray(Theta, dtype=np.float64)
-    Q = np.ascontiguousarray(Q, dtype=np.float64)
-    if Q.shape != Theta.shape:
-        raise ValueError(f"dimension mismatch: weights of shape {Q.shape} for logits {Theta.shape}")
-    _check_weights(Q)
+    Theta, ys, Q = _checked_rows(Theta, ys, Q)
     P, taus = backend.posterior_batch(
         Theta, Q, params.alpha, params.bisect_tol, params.max_iters
     )
@@ -178,7 +158,7 @@ def _margin_row(c, y, cfg, modes):
     """margin_logits of one checked cosine row c with target y, for the given modes."""
     if cfg.mode not in modes:
         raise ValueError(f"expected mode {' or '.join(map(repr, modes))}, got {cfg.mode!r}")
-    Theta, Q = margin_logits(_check_logits(c, y)[None], [y], cfg)
+    Theta, Q = margin_logits(_logit_row(c), [y], cfg)
     return Theta[0], None if Q is None else Q[0]
 
 

@@ -195,6 +195,22 @@ class TestBatchMatchesRowLoop:
             "of the solver's range)"
         )
 
+    def test_a_block_with_no_finite_bracket_takes_no_sweep(self, monkeypatch):
+        # with no row live from the start there is nothing to sweep; the
+        # block used to run all max_iters sweeps on empty arrays
+        calls = []
+        real = backend._weights
+        monkeypatch.setattr(backend, "_weights", lambda *args: calls.append(1) or real(*args))
+        theta = np.zeros((1, 200))
+        q = np.ones((1, 200))
+        q[0, 0] = 5e-324
+        message = _raised(backend.posterior_batch, theta, q, 3.0, 1e-10, 200)
+        assert (message, len(calls)) == (
+            "row 0: bracket [-inf, 0.4999873740562107] is not finite (logits or reference "
+            "measure out of the solver's range)",
+            0,
+        )
+
 
 class TestExits:
     @pytest.mark.parametrize("alpha", [1.25, 1.5, 2.0])

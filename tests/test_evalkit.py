@@ -208,6 +208,16 @@ class TestAvgRelativeImprovement:
         worse = [(0.001, 0.3, 0.9), (1.0, 0.3, 0.1)]
         assert avg_relative_improvement(worse, base, 0.01, 0.1) < 0
 
+    @pytest.mark.parametrize(
+        "far_lo, far_hi",
+        [(0.0, 0.1), (-0.01, 0.1), (0.1, 0.1), (0.1, 0.01), (0.01, 1.5), (np.nan, 0.1)],
+    )
+    def test_rejects_a_far_interval_outside_the_unit_range(self, far_lo, far_hi):
+        # log10 of these used to warn and average to nan or inf
+        det = [(0.001, 0.4, 0.9), (1.0, 0.2, 0.1)]
+        with pytest.raises(ValueError, match="^FAR interval must have 0 < far_lo < far_hi <= 1"):
+            avg_relative_improvement(det, det, far_lo, far_hi)
+
 
 class TestSparsityReport:
     def test_orthogonal_prototypes_half_misaligned(self):
@@ -344,6 +354,16 @@ class TestSparsityReportStreaming:
             got = _outcome(sparsity_report, E, bad, W, cfg, params)
             assert got[0] in (ValueError, IndexError)
             assert got == _outcome(sparsity_report_dense_reference, E, bad, W, cfg, params)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_nan_embedding_row_is_refused(self, mode):
+        # cosface and arcface used to count the row as aligned and dense, and
+        # q_margin and a3m to raise the solver's error
+        E, labels, W = _report_case(300)
+        E[260] = np.nan
+        cfg = MarginConfig(scale=32.0, margin=0.3, mode=mode)
+        with pytest.raises(ValueError, match="^logits must be finite$"):
+            sparsity_report(E, labels, W, cfg, AlphaParams(1.5))
 
     @pytest.mark.parametrize("mode", ["q_margin", "cosface"])
     def test_memory_is_a_few_blocks(self, mode):

@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from alphamargin.core import AlphaParams, divergence
+from alphamargin.core import AlphaParams, alpha_softargmax, alpha_softmax, divergence, root_find_tau
 from alphamargin.losses import (
+    MODES,
     AnnealSchedule,
     MarginConfig,
     a3m_loss,
@@ -25,6 +26,41 @@ from conftest import (
 )
 
 A2 = AlphaParams(2.0)
+
+
+_BAD_WEIGHT = "reference measure weights must be finite and > 0"
+
+# the entries that take a reference measure, and those that take no label
+_MEASURED = {"fy_loss", "fy_loss_batch", "alpha_softargmax", "root_find_tau", "alpha_softmax"}
+_UNLABELLED = {"alpha_softargmax", "root_find_tau", "alpha_softmax"}
+
+
+def _cfg(mode, scale):
+    return MarginConfig(scale=scale, margin=0.2, mode=mode)
+
+
+def _batch_twins(C, ys, Q, params, scale):
+    """The batch entries at cosine rows C with labels ys: fy_loss_batch at
+    logits scale * C and measure Q, and batch_posteriors and
+    batch_loss_and_cosine_grad in every mode."""
+    calls = {"fy_loss_batch": lambda: fy_loss_batch(scale * np.asarray(C), ys, Q, params)}
+    for mode in MODES:
+        cfg = _cfg(mode, scale)
+        calls[f"batch_posteriors/{mode}"] = lambda cfg=cfg: batch_posteriors(C, ys, cfg, params)
+        calls[f"batch_loss_and_cosine_grad/{mode}"] = (
+            lambda cfg=cfg: batch_loss_and_cosine_grad(C, ys, cfg, params)
+        )
+    return calls
+
+
+def _outcomes(calls):
+    """{name: (exception type, message)} of calls that must each raise."""
+    outcomes = {}
+    for name, call in calls.items():
+        with pytest.raises(Exception) as info:
+            call()
+        outcomes[name] = (type(info.value), str(info.value))
+    return outcomes
 
 
 def one_row(c, y, cfg):
@@ -110,31 +146,47 @@ class TestFyLoss:
             fy_loss([0.5, 0.0], 2, [1.0, 1.0], A2)
 
     @pytest.mark.parametrize(
-        "c, y, error, message",
+        "c, y, q, error, message",
         [
-            ([0.5], 0, ValueError, "logits must be a 1-D vector with k >= 2"),
-            ([0.5, 0.1], 2, IndexError, "class index 2 out of range for k=2"),
-            ([0.5, 0.1], -1, IndexError, "class index -1 out of range for k=2"),
-            ([0.5, np.nan], 0, ValueError, "logits must be finite"),
+            ([0.5], 0, None, ValueError, "logits must be a 1-D vector with k >= 2"),
+            ([0.5, 0.1], 2, None, IndexError, "class index 2 out of range for k=2"),
+            ([0.5, 0.1], -1, None, IndexError, "class index -1 out of range for k=2"),
+            ([0.5, np.nan], 0, None, ValueError, "logits must be finite"),
+            ([0.5, 0.1], True, None, IndexError, "class indices must be integers, got True"),
+            ([0.5, 0.1], 1.0, None, IndexError, "class indices must be integers, got 1.0"),
+            ([0.5, np.inf], 0, None, ValueError, "logits must be finite"),
+            ([0.5, 0.1], 0, [1.0, 0.0], ValueError, _BAD_WEIGHT),
+            ([0.5, 0.1], 0, [np.nan, 1.0], ValueError, _BAD_WEIGHT),
+            (
+                [0.5, 0.1], 0, [1.0, 1.0, 1.0], ValueError,
+                "dimension mismatch: weights of shape (1, 3) for logits (1, 2)",
+            ),
         ],
-        ids=["k=1", "y=k", "y=-1", "nan"],
+        ids=["k=1", "y=k", "y=-1", "nan", "y=True", "y=1.0", "inf", "q=0", "q=nan", "q-length"],
     )
-    def test_scalar_losses_reject_a_bad_row_alike(self, c, y, error, message):
-        # one check of the (c, y) row, before any indexing, for every scalar loss
-        losses = {
-            "fy_loss": lambda: fy_loss(c, y, np.ones(len(c)), A2),
-            "q_margin_loss": lambda: q_margin_loss(
-                c, y, MarginConfig(scale=4.0, margin=0.2, mode="q_margin"), A2
-            ),
-            "a3m_loss": lambda: a3m_loss(c, y, MarginConfig(scale=4.0, margin=0.2, mode="a3m"), A2),
-            "baseline_ce_loss": lambda: baseline_ce_loss(
-                c, y, MarginConfig(scale=4.0, margin=0.2, mode="cosface")
-            ),
+    def test_scalar_losses_reject_a_bad_row_alike(self, c, y, q, error, message):
+        # one check of the (c, y, q) row, before any indexing, for every scalar
+        # entry and its B = 1 batch twin; only the container's shape is told
+        # apart. A bad label (any y but 0 here) or measure (q given) reaches
+        # only the entries that take one.
+        measured, q = q is not None, np.ones(len(c)) if q is None else q
+        calls = _batch_twins([c], [y], [q], A2, scale=4.0)
+        calls["fy_loss"] = lambda: fy_loss(c, y, q, A2)
+        for mode, loss in (("q_margin", q_margin_loss), ("a3m", a3m_loss)):
+            calls[f"{mode}_loss"] = lambda loss=loss, cfg=_cfg(mode, 4.0): loss(c, y, cfg, A2)
+        for mode in ("cosface", "arcface"):
+            cfg = _cfg(mode, 4.0)
+            calls[f"baseline_ce_loss/{mode}"] = lambda cfg=cfg: baseline_ce_loss(c, y, cfg)
+        for call in (alpha_softargmax, root_find_tau, alpha_softmax):
+            calls[call.__name__] = lambda call=call: call(c, q, A2)
+        if y != 0:
+            calls = {name: call for name, call in calls.items() if name not in _UNLABELLED}
+        if measured:
+            calls = {name: call for name, call in calls.items() if name in _MEASURED}
+        batch_text = message.replace("a 1-D vector", "(B, k) rows")
+        assert _outcomes(calls) == {
+            name: (error, batch_text if "batch" in name else message) for name in calls
         }
-        for name, call in losses.items():
-            with pytest.raises(Exception) as info:
-                call()
-            assert (type(info.value), str(info.value)) == (error, message), name
 
     def test_nonnegative_random(self, rng):
         for _ in range(200):
@@ -406,20 +458,8 @@ class TestBatchHelpers:
         # a negative label used to pick the last class and a label >= k to
         # raise numpy's own IndexError; the scalar losses' check applies
         C = np.array([[0.5, 0.1, -0.2], [0.3, 0.2, 0.1]])
-        a = AlphaParams(1.5)
-        calls = {
-            "fy_loss_batch": lambda: fy_loss_batch(8.0 * C, ys, np.ones_like(C), a),
-        }
-        for mode in ("q_margin", "a3m", "cosface", "arcface"):
-            cfg = MarginConfig(scale=8.0, margin=0.2, mode=mode)
-            calls[f"batch_posteriors/{mode}"] = lambda cfg=cfg: batch_posteriors(C, ys, cfg, a)
-            calls[f"batch_loss_and_cosine_grad/{mode}"] = (
-                lambda cfg=cfg: batch_loss_and_cosine_grad(C, ys, cfg, a)
-            )
-        for name, call in calls.items():
-            with pytest.raises(Exception) as info:
-                call()
-            assert (type(info.value), str(info.value)) == (error, message), name
+        calls = _batch_twins(C, ys, np.ones_like(C), AlphaParams(1.5), scale=8.0)
+        assert _outcomes(calls) == {name: (error, message) for name in calls}
 
     @pytest.mark.parametrize("weight", [-0.01, 0.0, np.inf, np.nan])
     def test_fy_loss_batch_checks_weights_as_fy_loss(self, weight):
