@@ -451,12 +451,15 @@ class TestBatchHelpers:
             ([0, 10**30], IndexError, f"class index {10**30} out of range for k=3"),
             ([0], ValueError, f"{_PER_ROW}, got labels of shape (1,)"),
             ([[0, 1]], ValueError, f"{_PER_ROW}, got labels of shape (1, 2)"),
+            ([True, True], IndexError, "class indices must be integers, got True"),
+            ([1.0, 1.0], IndexError, "class indices must be integers, got 1.0"),
         ],
-        ids=["y=-1", "y=k", "y=1e30", "short", "2-d"],
+        ids=["y=-1", "y=k", "y=1e30", "short", "2-d", "bool", "float"],
     )
     def test_batch_entry_points_check_labels(self, ys, error, message):
-        # a negative label used to pick the last class and a label >= k to
-        # raise numpy's own IndexError; the scalar losses' check applies
+        # a negative label used to pick the last class, a label >= k to raise
+        # numpy's own IndexError and bool labels to act as a mask; the scalar
+        # losses' check applies
         C = np.array([[0.5, 0.1, -0.2], [0.3, 0.2, 0.1]])
         calls = _batch_twins(C, ys, np.ones_like(C), AlphaParams(1.5), scale=8.0)
         assert _outcomes(calls) == {name: (error, message) for name in calls}
