@@ -107,6 +107,8 @@ def _checked_labels(ys, B, k):
     out = np.flatnonzero((ys < 0) | (ys >= k))
     if out.size:
         raise IndexError(f"class index {ys[out[0]]} out of range for k={k}")
+    if ys.dtype == object:  # only let through to name an int past int64 in the range message
+        raise IndexError(f"class indices must be integers, got labels of dtype {ys.dtype}")
     return ys
 
 
@@ -122,7 +124,7 @@ def _checked_measure(q, shape):
 
 def _checked_rows(theta, ys=None, q=None):
     """The one check of (B, k) logit rows and, if given, their labels ys and measure q."""
-    theta = np.asarray(theta, dtype=np.float64)
+    theta = np.ascontiguousarray(theta, dtype=np.float64)  # C order: bits independent of layout
     if theta.ndim != 2 or theta.shape[1] < 2:
         raise ValueError("logits must be (B, k) rows with k >= 2")
     if ys is not None:

@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from . import backend
-from .core import PosteriorDistribution, _checked_rows, _logit_row, _solve_row
+from .core import PosteriorDistribution, _checked_measure, _checked_rows, _logit_row, _solve_row
 
 MODES = ("q_margin", "a3m", "cosface", "arcface")
 
@@ -123,6 +123,12 @@ def _fy_values(Theta, ys, Q, P, taus, alpha):
     return (am1 * p_theta + (taus + 1.0) * P.sum(axis=1) - q_y) / alpha + target - Theta[rows, ys]
 
 
+def _fy_rows(Theta, ys, Q, params):
+    """Fenchel-Young values (B,) and posteriors (B, k) of rows that are already checked."""
+    P, taus = backend.posterior_batch(Theta, Q, params.alpha, params.bisect_tol, params.max_iters)
+    return _fy_values(Theta, ys, Q, P, taus, params.alpha), P
+
+
 def fy_loss(theta, y, q, params):
     """Fenchel-Young alpha-divergence loss and its gradient p - y.
 
@@ -140,11 +146,9 @@ def fy_loss(theta, y, q, params):
 
 def fy_loss_batch(Theta, ys, Q, params):
     """Row-wise fy_loss. Returns (values (B,), grads (B,k), posteriors (B,k))."""
-    Theta, ys, Q = _checked_rows(Theta, ys, Q)
-    P, taus = backend.posterior_batch(
-        Theta, Q, params.alpha, params.bisect_tol, params.max_iters
-    )
-    return _fy_values(Theta, ys, Q, P, taus, params.alpha), _minus_targets(P, ys), P
+    Theta, ys, _ = _checked_rows(Theta, ys)
+    values, P = _fy_rows(Theta, ys, _checked_measure(Q, Theta.shape), params)
+    return values, _minus_targets(P, ys), P
 
 
 def arcface_margin_derivative(cy, m):
@@ -201,14 +205,9 @@ def batch_loss_and_cosine_grad(C, ys, cfg, params):
     sin(psi + m)/sin(psi) factor on the target column.
     Returns (values (B,), dC (B,k), posteriors (B,k)).
     """
-    Theta, Q = margin_logits(C, ys, cfg)
-    if Q is None:
-        values, P = _ce_rows(Theta, ys)
-        G = _minus_targets(P, ys)
-    else:
-        values, G, P = fy_loss_batch(Theta, ys, Q, params)
-
-    dC = cfg.scale * G
+    Theta, Q = margin_logits(C, ys, cfg)  # the one check of this batch
+    values, P = _ce_rows(Theta, ys) if Q is None else _fy_rows(Theta, ys, Q, params)
+    dC = cfg.scale * _minus_targets(P, ys)
     if cfg.mode in ("a3m", "arcface"):
         rows = np.arange(len(ys))
         cy = np.asarray(C, dtype=np.float64)[rows, ys]

@@ -117,7 +117,8 @@ def loss_and_grads(model: Model, X, ys, loss_cfg, params):
     H, E, z_norm = _forward(model, X)
     Wn, w_norm = _normalize(model.prototypes)
     C = forward_cosines(E, Wn)
-    if not np.all(np.isfinite(C)):
+    # E and Wn rows have norm <= 1 or hold a nan, so C is finite iff they are: (B + k)*d values
+    if not (np.all(np.isfinite(E)) and np.all(np.isfinite(Wn))):
         raise FloatingPointError("non-finite cosines in the forward pass; aborting the step")
 
     values, dC, P = batch_loss_and_cosine_grad(C, ys, loss_cfg, params)

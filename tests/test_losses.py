@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from alphamargin import losses
 from alphamargin.core import AlphaParams, alpha_softargmax, alpha_softmax, divergence, root_find_tau
 from alphamargin.losses import (
     MODES,
@@ -453,8 +454,13 @@ class TestBatchHelpers:
             ([[0, 1]], ValueError, f"{_PER_ROW}, got labels of shape (1, 2)"),
             ([True, True], IndexError, "class indices must be integers, got True"),
             ([1.0, 1.0], IndexError, "class indices must be integers, got 1.0"),
+            (
+                np.array([0, 1], dtype=object),
+                IndexError,
+                "class indices must be integers, got labels of dtype object",
+            ),
         ],
-        ids=["y=-1", "y=k", "y=1e30", "short", "2-d", "bool", "float"],
+        ids=["y=-1", "y=k", "y=1e30", "short", "2-d", "bool", "float", "object"],
     )
     def test_batch_entry_points_check_labels(self, ys, error, message):
         # a negative label used to pick the last class, a label >= k to raise
@@ -478,10 +484,12 @@ class TestBatchHelpers:
             ValueError, "reference measure weights must be finite and > 0"
         )
 
-    @pytest.mark.parametrize("shape", [(2, 2), (1, 3), (3,)])
+    @pytest.mark.parametrize("shape", [(2, 2), (1, 3), (3,), None])
     def test_fy_loss_batch_weights_of_another_shape(self, shape):
+        # no measure at all is a measure of shape (), as fy_loss refuses q=None
+        Q = None if shape is None else np.ones(shape)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            fy_loss_batch(np.zeros((2, 3)), [0, 1], np.ones(shape), AlphaParams(1.5))
+            fy_loss_batch(np.zeros((2, 3)), [0, 1], Q, AlphaParams(1.5))
 
     def test_batch_posteriors_row_sums(self, rng):
         a = AlphaParams(1.5)
@@ -491,3 +499,38 @@ class TestBatchHelpers:
             ys = rng.integers(10, size=16)
             P = batch_posteriors(C, ys, cfg, a)
             np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-8)
+
+    @pytest.mark.parametrize("B, k", [(37, 9), (300, 200)])
+    def test_batch_entries_do_not_depend_on_the_layout(self, rng, B, k):
+        # the cross-entropy rows used to be summed in the layout of C
+        C = rng.uniform(-0.95, 0.95, (B, k))
+        ys = rng.integers(k, size=B)
+        wide = np.zeros((B, 2 * k))
+        wide[:, ::2] = C
+        bits = {}
+        for layout, view in {"C": C, "F": np.asfortranarray(C), "strided": wide[:, ::2]}.items():
+            for name, call in _batch_twins(view, ys, np.ones((B, k)), A2, scale=32.0).items():
+                out = call()
+                arrays = out if isinstance(out, tuple) else (out,)
+                bits[name, layout] = b"".join(x.tobytes() for x in arrays)
+        for (name, layout), b in bits.items():
+            assert b == bits[name, "C"], (name, layout)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_batch_is_checked_once(self, monkeypatch, rng, mode):
+        # batch_loss_and_cosine_grad used to check the q_margin and a3m logits again
+        checked = losses._checked_rows
+        checks = []
+
+        def counted(*args):
+            checks.append(1)
+            return checked(*args)
+
+        monkeypatch.setattr(losses, "_checked_rows", counted)
+        C = rng.uniform(-0.9, 0.9, (16, 10))
+        ys = rng.integers(10, size=16)
+        cfg, a = _cfg(mode, 16.0), AlphaParams(1.5)
+        for entry in (batch_loss_and_cosine_grad, batch_posteriors):
+            checks.clear()
+            entry(C, ys, cfg, a)
+            assert len(checks) == 1, entry.__name__

@@ -127,13 +127,15 @@ class TestBackwardStep:
         np.testing.assert_array_equal(W, model.prototypes / norms)
 
     def test_nonfinite_gradient_aborts(self):
-        rng = np.random.default_rng(3)
+        # a nan weight spoils every embedding, a nan prototype row one column
+        # of cosines; the step checks the unit rows, not the cosines
         ds = small_dataset()
-        model = init_model(ds.d, 8, ds.d, ds.k, rng)
-        model.w1[0, 0] = np.nan
         cfg = config()
-        with pytest.raises(FloatingPointError):
-            loss_and_grads(model, ds.points[:8], ds.labels[:8], cfg.loss, cfg.alpha)
+        for name, at in [("w1", (0, 0)), ("prototypes", 3)]:
+            model = init_model(ds.d, 8, ds.d, ds.k, np.random.default_rng(3))
+            getattr(model, name)[at] = np.nan
+            with pytest.raises(FloatingPointError, match="non-finite cosines in the forward pass"):
+                loss_and_grads(model, ds.points[:8], ds.labels[:8], cfg.loss, cfg.alpha)
 
     def test_nonfinite_loss_gradient_aborts(self, monkeypatch):
         # finite cosines, but a loss gradient dC that is not finite
