@@ -1,8 +1,9 @@
 """The alpha-softargmax solver: safeguarded Newton on the normalizing shift tau.
 
-posterior_batch solves (B, k) rows and posterior one row; both raise
-SolverError naming the first failing row. A row fails iff its written posterior
-does not sum to 1 within SUM_TOL, and every kind of failure ends that way.
+posterior_batch solves (B, k) rows and raises SolverError naming the first
+failing row; posterior is its one-row batch. A row fails iff its written
+posterior does not sum to 1 within SUM_TOL, and every kind of failure ends
+that way.
 
 For logits theta, reference measure q and alpha > 1 the posterior is
 p_j = q_j * [z_j]_+ ** (1/(alpha-1)) with z_j = 1 + (alpha-1)*(theta_j - tau),
@@ -140,13 +141,8 @@ def _solve_block(theta, q, alpha, tol, max_iters, P, taus, start):
     raise SolverError(f"row {start + i}: {why}")
 
 
-def _solve(theta, q, alpha, tol, max_iters):
-    """Row-wise alpha-softargmax of (B, k) theta and q. Returns (P, taus).
-
-    Raises SolverError for the first failing row, naming it. posterior and
-    posterior_batch both call this, never each other, so that a wrapper
-    around one of them sees none of the other's calls.
-    """
+def posterior_batch(theta, q, alpha, tol, max_iters):
+    """Row-wise alpha-softargmax. theta and q are (B, k). Returns (P, taus)."""
     theta = np.ascontiguousarray(theta, dtype=np.float64)
     q = np.ascontiguousarray(q, dtype=np.float64)
     B, k = theta.shape
@@ -160,15 +156,8 @@ def _solve(theta, q, alpha, tol, max_iters):
     return P, taus
 
 
-def posterior_batch(theta, q, alpha, tol, max_iters):
-    """Row-wise alpha-softargmax. theta and q are (B, k). Returns (P, taus)."""
-    return _solve(theta, q, alpha, tol, max_iters)
-
-
 def posterior(theta, q, alpha, tol, max_iters):
-    """Dense alpha-softargmax of one logit vector. Returns (p, tau).
-
-    The one-row batch, so bitwise its row.
-    """
-    P, taus = _solve(np.reshape(theta, (1, -1)), np.reshape(q, (1, -1)), alpha, tol, max_iters)
+    """Dense alpha-softargmax of one logit vector: the one-row batch. Returns (p, tau)."""
+    theta, q = np.reshape(theta, (1, -1)), np.reshape(q, (1, -1))
+    P, taus = posterior_batch(theta, q, alpha, tol, max_iters)
     return P[0], taus[0]

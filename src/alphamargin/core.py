@@ -8,6 +8,7 @@ double precision; an entry of the posterior is zero iff the clip in the
 closed form evaluates to exactly zero.
 """
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,9 +105,10 @@ def _checked_labels(ys, B, k):
         )
     if ys.size and ys.dtype.kind not in "iuO":  # an object array holds ints past int64
         raise IndexError(f"class indices must be integers, got {ys[0].item()!r}")
-    out = np.flatnonzero((ys < 0) | (ys >= k))
-    if out.size:
-        raise IndexError(f"class index {ys[out[0]]} out of range for k={k}")
+    with contextlib.suppress(TypeError):  # an object label no int compares with, such as None
+        out = np.flatnonzero((ys < 0) | (ys >= k))
+        if out.size:
+            raise IndexError(f"class index {ys[out[0]]} out of range for k={k}")
     if ys.dtype == object:  # only let through to name an int past int64 in the range message
         raise IndexError(f"class indices must be integers, got labels of dtype {ys.dtype}")
     return ys

@@ -59,6 +59,22 @@ class MarginConfig:
         return replace(self, margin=m)
 
 
+def _refuse_overflow(cfg, params):
+    """Refuse a q_margin config at which f'(1/q_y) = expm1((alpha-1)*s*m)/(alpha-1)
+    is not a double. The solver's bracket and the loss constant compute it as
+    here, from margin_logits' target weight, so the bound holds bit for bit."""
+    if cfg.mode != "q_margin":
+        return
+    with np.errstate(over="ignore"):
+        f = backend.f_prime_inv(np.log(np.exp(-cfg.scale * cfg.margin)), params.alpha)
+    if not np.isfinite(f):
+        raise ValueError(
+            f"q_margin at alpha={params.alpha!r} needs (alpha-1)*scale*margin <= "
+            f"ln(max double) = {np.log(np.finfo(np.float64).max):.4f}, so that the loss "
+            f"constant is finite; got {(params.alpha - 1.0) * cfg.scale * cfg.margin!r}"
+        )
+
+
 @dataclass
 class LossOutput:
     value: float
@@ -129,6 +145,15 @@ def _fy_rows(Theta, ys, Q, params):
     return _fy_values(Theta, ys, Q, P, taus, params.alpha), P
 
 
+def _row_output(values, P, y):
+    """The LossOutput of a one-row batch: its values (1,) and posteriors (1, k) at label y."""
+    return LossOutput(
+        value=float(values[0]),
+        grad_logits=_minus_targets(P, [y])[0],
+        posterior=PosteriorDistribution.from_dense(P[0]),
+    )
+
+
 def fy_loss(theta, y, q, params):
     """Fenchel-Young alpha-divergence loss and its gradient p - y.
 
@@ -136,12 +161,8 @@ def fy_loss(theta, y, q, params):
     """
     theta, q, p, tau = _solve_row(theta, q, params, [y])
     P = p[None]
-    value = _fy_values(theta[None], [y], q[None], P, np.array([tau]), params.alpha)[0]
-    return LossOutput(
-        value=float(value),
-        grad_logits=_minus_targets(P, [y])[0],
-        posterior=PosteriorDistribution.from_dense(p),
-    )
+    values = _fy_values(theta[None], [y], q[None], P, np.array([tau]), params.alpha)
+    return _row_output(values, P, y)
 
 
 def fy_loss_batch(Theta, ys, Q, params):
@@ -168,6 +189,7 @@ def _margin_row(c, y, cfg, modes):
 
 def q_margin_loss(c, y, cfg, params):
     """Margin in the reference measure: fy_loss(s*c, y, q_margin measure)."""
+    _refuse_overflow(cfg, params)
     theta, q = _margin_row(c, y, cfg, ("q_margin",))
     return fy_loss(theta, y, q, params)
 
@@ -181,16 +203,12 @@ def a3m_loss(c, y, cfg, params):
 def baseline_ce_loss(c, y, cfg):
     """CosFace/ArcFace cross-entropy over softargmax of margin-modified cosines."""
     theta, _ = _margin_row(c, y, cfg, ("cosface", "arcface"))
-    values, P = _ce_rows(theta[None], [y])
-    return LossOutput(
-        value=float(values[0]),
-        grad_logits=_minus_targets(P, [y])[0],
-        posterior=PosteriorDistribution.from_dense(P[0]),
-    )
+    return _row_output(*_ce_rows(theta[None], [y]), y)
 
 
 def batch_posteriors(C, ys, cfg, params):
     """Posterior matrix (B, k) for the configured loss at cosine matrix C."""
+    _refuse_overflow(cfg, params)
     Theta, Q = margin_logits(C, ys, cfg)
     if Q is None:
         return _ce_rows(Theta, ys)[1]
@@ -205,6 +223,7 @@ def batch_loss_and_cosine_grad(C, ys, cfg, params):
     sin(psi + m)/sin(psi) factor on the target column.
     Returns (values (B,), dC (B,k), posteriors (B,k)).
     """
+    _refuse_overflow(cfg, params)
     Theta, Q = margin_logits(C, ys, cfg)  # the one check of this batch
     values, P = _ce_rows(Theta, ys) if Q is None else _fy_rows(Theta, ys, Q, params)
     dC = cfg.scale * _minus_targets(P, ys)

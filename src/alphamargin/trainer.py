@@ -17,7 +17,7 @@ import numpy as np
 from . import evalkit, synthdata
 from .core import AlphaParams
 from .errors import DataFormatError
-from .losses import MarginConfig, batch_loss_and_cosine_grad
+from .losses import MarginConfig, _refuse_overflow, batch_loss_and_cosine_grad
 from .synthdata import _normalize, _unit_rows
 
 log = logging.getLogger(__name__)
@@ -58,6 +58,8 @@ class TrainConfig:
             raise ValueError("reinit_epoch must lie strictly inside the epoch range")
         if self.hidden_dim < 1 or (self.embed_dim is not None and self.embed_dim < 1):
             raise ValueError("hidden_dim and embed_dim must be >= 1")
+        # train and stats use no margin above the last epoch's
+        _refuse_overflow(self.loss.with_margin(annealed_margin(self.loss, self.epochs)), self.alpha)
 
 
 @dataclass

@@ -268,3 +268,26 @@ def test_batch_row_without_mass_is_a_solver_error():
     q = np.array([[1.0, 1.0, 1.0], [1e300, 1.0, 1.0]])
     with pytest.raises(SolverError, match="row 1: posterior sums to 0.0"):
         backend.posterior_batch(theta, q, 1.5, 1e-10, 200)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_posterior_is_one_posterior_batch_call_on_one_row(alpha, monkeypatch):
+    # posterior used to solve through a private twin of posterior_batch
+    batch = backend.posterior_batch
+    calls = []
+
+    def spy(theta, q, *args):
+        P, taus = batch(theta, q, *args)
+        calls.append((np.shape(theta), np.shape(q), P, taus))
+        return P, taus
+
+    monkeypatch.setattr(backend, "posterior_batch", spy)
+    rng = np.random.default_rng(ALPHAS.index(alpha))
+    for measure in MEASURES:
+        theta, q = _inputs(rng, 1, 7, measure)
+        calls.clear()
+        p, tau = backend.posterior(theta[0], q[0], alpha, 1e-10, 200)
+        assert len(calls) == 1, measure
+        theta_shape, q_shape, P, taus = calls[0]
+        assert theta_shape == q_shape == (1, 7), measure
+        assert p.tobytes() == P[0].tobytes() and tau == taus[0], measure

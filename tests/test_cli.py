@@ -148,6 +148,37 @@ class TestTrain:
         assert run(["train", str(cfg)]) == 1
         assert "scale*margin" in capsys.readouterr().err
 
+    @pytest.fixture
+    def k10_path(self, tmp_path):
+        path = tmp_path / "k10.bin"
+        gen = ["gen", "--k", "10", "--d", "8", "--samples-per-id", "6", "--noise-kappa", "40"]
+        assert run(gen + ["--out", str(path)]) == 0
+        return path
+
+    @staticmethod
+    def _large_margin(tmp_path, dataset, out, alpha):
+        overrides = {("alpha", "alpha"): alpha, ("loss", "scale"): "400", ("loss", "margin"): "0.9"}
+        return write_config(tmp_path / "t.ini", dataset, out, overrides)
+
+    def test_q_margin_constant_that_overflows_is_usage_error(self, tmp_path, k10_path, capsys):
+        # (alpha-1)*s*m = 720: it used to exit 3, as a non-finite solver bracket or an
+        # expm1 overflow reported as a divergence. It is refused before the dataset is read.
+        for dataset in (k10_path, tmp_path / "missing.bin"):
+            out = tmp_path / "o"
+            assert run(["train", str(self._large_margin(tmp_path, dataset, out, "3"))]) == 1
+            assert capsys.readouterr().err == (
+                "usage error: invalid config: q_margin at alpha=3.0 needs (alpha-1)*scale*margin "
+                "<= ln(max double) = 709.7827, so that the loss constant is finite; got 720.0\n"
+            )
+            assert not out.exists()
+
+    def test_q_margin_constant_below_the_bound_still_trains(self, tmp_path, k10_path):
+        # (alpha-1)*s*m = 540: the constant swamps the loss column but is a double
+        out = tmp_path / "o"
+        assert run(["train", str(self._large_margin(tmp_path, k10_path, out, "2.5"))]) == 0
+        rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["8.810264766124128e+233"] * 2
+
     def test_unknown_section_rejected(self, tmp_path, dataset_path):
         cfg = write_config(
             tmp_path / "t.ini", dataset_path, tmp_path / "o",

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from alphamargin import losses
+from alphamargin import backend, losses
 from alphamargin.core import AlphaParams, alpha_softargmax, alpha_softmax, divergence, root_find_tau
 from alphamargin.losses import (
     MODES,
@@ -30,6 +30,7 @@ A2 = AlphaParams(2.0)
 
 
 _BAD_WEIGHT = "reference measure weights must be finite and > 0"
+_OBJECT_LABELS = "class indices must be integers, got labels of dtype object"
 
 # the entries that take a reference measure, and those that take no label
 _MEASURED = {"fy_loss", "fy_loss_batch", "alpha_softargmax", "root_find_tau", "alpha_softmax"}
@@ -125,6 +126,54 @@ class TestMarginConfig:
         assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-12 and np.all(np.isfinite(values))
 
 
+_OVERFLOW = (
+    "q_margin at alpha=3.0 needs (alpha-1)*scale*margin <= ln(max double) = 709.7827, so "
+    "that the loss constant is finite; got 720.0"
+)
+
+
+class TestOverflowingLossConstant:
+    """At (alpha-1)*s*m > ln(max double), f'(1/q_y) = expm1((alpha-1)*s*m)/(alpha-1)
+    overflows in the solver's bracket and in the loss constant."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_entries_and_their_scalar_twin_refuse_it(self):
+        # it used to raise "bracket [-inf, ...] is not finite" or an overflow warning
+        cfg, a = MarginConfig(scale=400.0, margin=0.9, mode="q_margin"), AlphaParams(3.0)
+        C, ys = np.array([[0.9, 0.1, -0.2], [0.1, 0.9, 0.0]]), [0, 2]
+        calls = {"q_margin_loss": lambda: q_margin_loss(C[0], 0, cfg, a)}
+        for B in (1, 2):
+            for entry in (batch_loss_and_cosine_grad, batch_posteriors):
+                calls[entry.__name__, B] = lambda e=entry, B=B: e(C[:B], ys[:B], cfg, a)
+        assert _outcomes(calls) == {name: (ValueError, _OVERFLOW) for name in calls}
+
+    @pytest.mark.filterwarnings("error")
+    def test_the_bound_is_the_first_scale_whose_bracket_overflows(self):
+        # bisect over doubles for the last scale the check lets through
+        a, C = AlphaParams(3.0), np.array([[0.9, 0.1, -0.2]])
+
+        def cfg(s):
+            return MarginConfig(scale=s, margin=0.9, mode="q_margin")
+
+        lo, hi = 300.0, 500.0
+        while np.nextafter(lo, hi) != hi:
+            mid = 0.5 * (lo + hi)
+            try:
+                batch_posteriors(C, [0], cfg(mid), a)
+                lo = mid
+            except ValueError:
+                hi = mid
+        assert 2.0 * hi * 0.9 == pytest.approx(np.log(np.finfo(np.float64).max), rel=1e-15)
+        with np.errstate(over="ignore"):
+            lo_end, _ = backend._bracket(*margin_logits(C, [0], cfg(hi)), a.alpha)
+        assert lo_end[0] == -np.inf
+        # one double below, the bracket, the loss and the posterior are finite
+        values, _, P = batch_loss_and_cosine_grad(C, [0], cfg(lo), a)
+        assert np.isfinite(backend._bracket(*margin_logits(C, [0], cfg(lo)), a.alpha)[0][0])
+        assert np.isfinite(values[0]) and abs(P.sum() - 1.0) <= 1e-8
+        assert q_margin_loss(C[0], 0, cfg(lo), a).value == values[0]
+
+
 class TestFyLoss:
     def test_worked_example_target_first(self):
         out = fy_loss([0.5, 0.0], 0, [1.0, 1.0], A2)
@@ -155,6 +204,7 @@ class TestFyLoss:
             ([0.5, np.nan], 0, None, ValueError, "logits must be finite"),
             ([0.5, 0.1], True, None, IndexError, "class indices must be integers, got True"),
             ([0.5, 0.1], 1.0, None, IndexError, "class indices must be integers, got 1.0"),
+            ([0.5, 0.1], None, None, IndexError, _OBJECT_LABELS),
             ([0.5, np.inf], 0, None, ValueError, "logits must be finite"),
             ([0.5, 0.1], 0, [1.0, 0.0], ValueError, _BAD_WEIGHT),
             ([0.5, 0.1], 0, [np.nan, 1.0], ValueError, _BAD_WEIGHT),
@@ -163,7 +213,10 @@ class TestFyLoss:
                 "dimension mismatch: weights of shape (1, 3) for logits (1, 2)",
             ),
         ],
-        ids=["k=1", "y=k", "y=-1", "nan", "y=True", "y=1.0", "inf", "q=0", "q=nan", "q-length"],
+        ids=[
+            "k=1", "y=k", "y=-1", "nan", "y=True", "y=1.0", "y=None", "inf", "q=0", "q=nan",
+            "q-length",
+        ],
     )
     def test_scalar_losses_reject_a_bad_row_alike(self, c, y, q, error, message):
         # one check of the (c, y, q) row, before any indexing, for every scalar
@@ -454,13 +507,11 @@ class TestBatchHelpers:
             ([[0, 1]], ValueError, f"{_PER_ROW}, got labels of shape (1, 2)"),
             ([True, True], IndexError, "class indices must be integers, got True"),
             ([1.0, 1.0], IndexError, "class indices must be integers, got 1.0"),
-            (
-                np.array([0, 1], dtype=object),
-                IndexError,
-                "class indices must be integers, got labels of dtype object",
-            ),
+            (np.array([0, 1], dtype=object), IndexError, _OBJECT_LABELS),
+            # no int compares with None: it used to raise Python's TypeError
+            (np.array([0, None], dtype=object), IndexError, _OBJECT_LABELS),
         ],
-        ids=["y=-1", "y=k", "y=1e30", "short", "2-d", "bool", "float", "object"],
+        ids=["y=-1", "y=k", "y=1e30", "short", "2-d", "bool", "float", "object", "None"],
     )
     def test_batch_entry_points_check_labels(self, ys, error, message):
         # a negative label used to pick the last class, a label >= k to raise

@@ -302,6 +302,19 @@ class TestTrain:
         with pytest.raises(ValueError, match=message):
             config(**field)
 
+    def test_a_q_margin_constant_that_overflows_is_refused(self):
+        # (alpha-1)*s*m = 720 > ln(max double) ~ 709.78, at the last epoch's margin
+        loss = MarginConfig(scale=400.0, margin=0.9, mode="q_margin")
+        with pytest.raises(ValueError, match=r"\(alpha-1\)\*scale\*margin <= ln\(max double\)"):
+            config(alpha=3.0, loss=loss)
+        # what trains stays accepted: a lower alpha, another mode, or an anneal whose
+        # ramp ends after the last epoch, so that the margin never comes near 0.9
+        config(alpha=2.5, loss=loss)
+        config(alpha=3.0, loss=MarginConfig(scale=400.0, margin=0.9, mode="a3m"))
+        annealed_loss = MarginConfig(400.0, 0.9, "q_margin", AnnealSchedule(1, 50))
+        annealed = config(alpha=3.0, epochs=2, loss=annealed_loss)
+        assert train(small_dataset(), annealed).metrics[-1]["epoch"] == 2
+
     def test_reinit_epoch_validation(self):
         with pytest.raises(ValueError):
             config(epochs=3, reinit_epoch=3)
