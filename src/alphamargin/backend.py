@@ -15,7 +15,8 @@ w = z ** (1/(alpha-1) - 1), gives both S = sum(q*w*z) and S' = -sum(q*w).
 
 The bracket [lo, hi] = [theta_t - f'(1/q_t), theta_t - f'(1/sum(q))] for
 t = argmax theta is kept, and a step that leaves it is replaced by a
-bisection step (alpha > 2 makes phi concave near the root).
+bisection step (alpha > 2 makes phi concave near the root). q is a (B, k)
+measure or, with labels ys, the (B,) target weights of a measure 1 elsewhere.
 
 Each row is summed on its own, in column order, with the same operations
 whatever the other rows of the batch are, so a row of `posterior_batch` is
@@ -36,7 +37,7 @@ RESIDUAL_TOL = 1e-12
 # A posterior row must sum to 1 within this.
 SUM_TOL = 1e-8
 
-# Rows solved together by posterior_batch; bounds its (rows, k) temporaries.
+# Rows solved together by posterior_batch; bounds its one (rows, k) temporary, the candidate mask.
 BLOCK_ROWS = 256
 
 
@@ -60,34 +61,38 @@ def f_prime_inv(log_q, alpha):
     return np.expm1(-(alpha - 1.0) * log_q) / (alpha - 1.0)
 
 
-def _bracket(theta, q, alpha):
-    """[theta_t - f'(1/q_t), theta_t - f'(1/sum(q))] per row, t = argmax theta."""
+def _bracket(theta, q, alpha, ys=None):
+    """[theta_t - f'(1/q_t), theta_t - f'(1/sum(q))] per row, t = argmax theta. With
+    labels ys and target weights q, q_t = q_y if t = y else 1 and sum(q) = (k - 1) + q_y."""
     t = (np.arange(len(theta)), np.argmax(theta, axis=1))
-    lo = theta[t] - f_prime_inv(np.log(q[t]), alpha)
-    return lo, theta[t] - f_prime_inv(np.log(q.sum(axis=1)), alpha)
+    q_t = q[t] if ys is None else np.where(t[1] == ys, q, 1.0)
+    q_sum = q.sum(axis=1) if ys is None else (theta.shape[1] - 1) + q
+    return theta[t] - f_prime_inv(np.log(q_t), alpha), theta[t] - f_prime_inv(np.log(q_sum), alpha)
 
 
-def _solve_block(theta, q, alpha, tol, max_iters, P, taus, start):
+def _solve_block(theta, q, alpha, tol, max_iters, P, taus, start, ys=None):
     """Solve the rows of a C-contiguous (b, k) block into P (zeroed) and taus.
 
-    A sweep at tau sums only the row's candidate columns, those with z > 0 at
-    its lower bracket end: tau never falls below it, so every other column
-    stays clipped. A row fails iff its written posterior does not sum to 1
-    within SUM_TOL, and every kind of failure ends that way: a non-finite
-    bracket leaves the row no candidates, max_iters sweeps leave it unwritten,
-    and at alpha > 2 a class near its clip can hold more mass than any double
-    tau resolves. Raises SolverError for the first, as row start + i.
+    A sweep at tau sums only the row's candidate columns: tau never falls
+    below the lower bracket end lo, and a column at or below the double under
+    fl(lo - c), c >= 1/(alpha-1), has z <= 0 there in doubles. Candidates
+    clipped at lo add exact zeros. A row fails iff its written posterior does
+    not sum to 1 within SUM_TOL, and every kind of failure ends that way: a
+    non-finite bracket leaves the row no candidates, max_iters sweeps leave it
+    unwritten, and at alpha > 2 a class near its clip can hold more mass than
+    any double tau resolves. Raises SolverError for the first, as row start + i.
     """
     am1 = alpha - 1.0
     e = 1.0 / am1 - 1.0
     b, k = theta.shape
-    lo0, hi0 = _bracket(theta, q, alpha)  # the sweeps overwrite lo, hi of dead rows too
+    lo0, hi0 = _bracket(theta, q, alpha, ys)  # the sweeps overwrite lo, hi of dead rows too
     finite = np.isfinite(lo0) & np.isfinite(hi0)
     lo, hi, tau, live = lo0, hi0, lo0, finite
-    at = np.flatnonzero((1.0 + am1 * (theta - lo0[:, None]) > 0.0) & finite[:, None])
+    floor = np.nextafter(lo0 - (1.0 / am1) * (1.0 + 2.0**-50), -np.inf)  # am1 * c >= 1 exactly
+    at = np.flatnonzero(theta > np.where(finite, floor, np.inf)[:, None])
     crow = at // k
     th_c = theta.reshape(-1)[at]
-    q_c = q.reshape(-1)[at]
+    q_c = q.reshape(-1)[at] if ys is None else np.where(at % k == ys[crow], q[crow], 1.0)
     P_flat = P.reshape(-1)
 
     for _ in range(max_iters if np.count_nonzero(live) else 0):  # no finite bracket, no sweep
@@ -141,10 +146,11 @@ def _solve_block(theta, q, alpha, tol, max_iters, P, taus, start):
     raise SolverError(f"row {start + i}: {why}")
 
 
-def posterior_batch(theta, q, alpha, tol, max_iters):
-    """Row-wise alpha-softargmax. theta and q are (B, k). Returns (P, taus)."""
+def posterior_batch(theta, q, alpha, tol, max_iters, ys=None):
+    """Row-wise alpha-softargmax of (B, k) logits theta at q (and ys). Returns (P, taus)."""
     theta = np.ascontiguousarray(theta, dtype=np.float64)
     q = np.ascontiguousarray(q, dtype=np.float64)
+    ys = ys if ys is None else np.asarray(ys)
     B, k = theta.shape
     P = np.zeros((B, k))
     taus = np.empty(B)
@@ -152,7 +158,8 @@ def posterior_batch(theta, q, alpha, tol, max_iters):
     with np.errstate(all="ignore"):
         for start in range(0, B, BLOCK_ROWS):
             rows = slice(start, start + BLOCK_ROWS)
-            _solve_block(theta[rows], q[rows], alpha, tol, max_iters, P[rows], taus[rows], start)
+            y = ys if ys is None else ys[rows]
+            _solve_block(theta[rows], q[rows], alpha, tol, max_iters, P[rows], taus[rows], start, y)
     return P, taus
 
 

@@ -43,8 +43,9 @@ class MarginConfig:
     anneal: Optional[AnnealSchedule] = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.scale) and self.scale > 0.0):
-            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
+        # so that loss values and gradients, up to about 2236*s at the arccos guard, are doubles
+        if not 0.0 < self.scale <= 1e300:
+            raise ValueError(f"scale must be finite, > 0 and <= 1e300, got {self.scale}")
         if not 0.0 <= self.margin < 1.0:
             raise ValueError(f"margin must be in [0, 1), got {self.margin}")
         if self.mode not in MODES:
@@ -62,7 +63,7 @@ class MarginConfig:
 def _refuse_overflow(cfg, params):
     """Refuse a q_margin config at which f'(1/q_y) = expm1((alpha-1)*s*m)/(alpha-1)
     is not a double. The solver's bracket and the loss constant compute it as
-    here, from margin_logits' target weight, so the bound holds bit for bit."""
+    here, from the target weight q_y that margin_logits returns, so the bound holds bit for bit."""
     if cfg.mode != "q_margin":
         return
     with np.errstate(over="ignore"):
@@ -83,12 +84,12 @@ class LossOutput:
 
 
 def margin_logits(C, ys, cfg):
-    """Logits Theta (B, k) and reference measure Q of the mode at cosines C (B, k).
+    """Logits Theta (B, k) and target weights q_y (B,) of the mode at cosines C (B, k).
 
     Theta is s * C with the target cosine of each row moved by the mode's
     margin: c_y - m for cosface, cos(arccos(c_y) + m) for a3m and arcface,
-    unmoved for q_margin. Q is the q_margin measure (target weight
-    exp(-s*m), others 1), ones for a3m and None for the cross-entropy modes.
+    unmoved for q_margin. The q_margin and a3m measures are 1 off the target
+    and q_y on it: exp(-s*m) for q_margin, 1 for a3m; None for cosface and arcface.
     """
     C, ys, _ = _checked_rows(C, ys)
     target = (np.arange(C.shape[0]), ys)
@@ -100,10 +101,8 @@ def margin_logits(C, ys, cfg):
         Theta[target] = cfg.scale * np.cos(np.arccos(cy) + cfg.margin)
     if cfg.mode in ("cosface", "arcface"):
         return Theta, None
-    Q = np.ones_like(Theta)
-    if cfg.mode == "q_margin":
-        Q[target] = np.exp(-cfg.scale * cfg.margin)
-    return Theta, Q
+    q_y = np.exp(-cfg.scale * cfg.margin) if cfg.mode == "q_margin" else 1.0
+    return Theta, np.full(len(Theta), q_y)
 
 
 def _minus_targets(P, ys):
@@ -121,8 +120,8 @@ def _ce_rows(Theta, ys):
     return np.log(S) - Z[np.arange(len(ys)), ys], E / S[:, None]
 
 
-def _fy_values(Theta, ys, Q, P, taus, alpha):
-    """Fenchel-Young loss values of (B, k) rows from their solve, in closed form.
+def _fy_values(Theta, ys, q, P, taus, alpha):
+    """Closed-form Fenchel-Young values of (B, k) rows from their solve at q: (B, k) or q_y (B,).
 
     With p = q * z**(1/(a-1)) at tau, sum_j q_j f(p_j/q_j) = (<p, theta> -
     (tau + 1) * sum(p) + sum(q)) / a and D_f(y:q) = (sum(q) - q_y)/a +
@@ -133,16 +132,18 @@ def _fy_values(Theta, ys, Q, P, taus, alpha):
     """
     rows = np.arange(len(ys))
     am1 = alpha - 1.0
-    q_y = Q[rows, ys]
+    q_y = q if q.ndim == 1 else q[rows, ys]
     target = (backend.f_prime_inv(np.log(q_y), alpha) - (1.0 - q_y)) / alpha  # q_y f(1/q_y)
     p_theta = np.sum(P * Theta, axis=1)
     return (am1 * p_theta + (taus + 1.0) * P.sum(axis=1) - q_y) / alpha + target - Theta[rows, ys]
 
 
-def _fy_rows(Theta, ys, Q, params):
-    """Fenchel-Young values (B,) and posteriors (B, k) of rows that are already checked."""
-    P, taus = backend.posterior_batch(Theta, Q, params.alpha, params.bisect_tol, params.max_iters)
-    return _fy_values(Theta, ys, Q, P, taus, params.alpha), P
+def _fy_rows(Theta, ys, q, params):
+    """Fenchel-Young values (B,) and posteriors (B, k) of checked rows, q as in _fy_values."""
+    P, taus = backend.posterior_batch(
+        Theta, q, params.alpha, params.bisect_tol, params.max_iters, None if q.ndim == 2 else ys
+    )
+    return _fy_values(Theta, ys, q, P, taus, params.alpha), P
 
 
 def _row_output(values, P, y):
@@ -160,9 +161,8 @@ def fy_loss(theta, y, q, params):
     The one-row case of fy_loss_batch.
     """
     theta, q, p, tau = _solve_row(theta, q, params, [y])
-    P = p[None]
-    values = _fy_values(theta[None], [y], q[None], P, np.array([tau]), params.alpha)
-    return _row_output(values, P, y)
+    values = _fy_values(theta[None], [y], q[None], p[None], np.array([tau]), params.alpha)
+    return _row_output(values, p[None], y)
 
 
 def fy_loss_batch(Theta, ys, Q, params):
@@ -179,41 +179,45 @@ def arcface_margin_derivative(cy, m):
     return np.sin(psi + m) / np.sin(psi)
 
 
-def _margin_row(c, y, cfg, modes):
-    """margin_logits of one checked cosine row c with target y, for the given modes."""
+def _margin_loss(c, y, cfg, params, modes):
+    """The loss of one cosine row c, label y, in one of modes: margin_logits is its one check."""
     if cfg.mode not in modes:
         raise ValueError(f"expected mode {' or '.join(map(repr, modes))}, got {cfg.mode!r}")
-    Theta, Q = margin_logits(_logit_row(c), [y], cfg)
-    return Theta[0], None if Q is None else Q[0]
+    (theta,), q_y = margin_logits(_logit_row(c), [y], cfg)
+    if q_y is None:
+        return _row_output(*_ce_rows(theta[None], [y]), y)
+    q = np.ones_like(theta)
+    q[y] = q_y[0]
+    p, tau = backend.posterior(theta, q, params.alpha, params.bisect_tol, params.max_iters)
+    values = _fy_values(theta[None], [y], q_y, p[None], np.array([tau]), params.alpha)
+    return _row_output(values, p[None], y)
 
 
 def q_margin_loss(c, y, cfg, params):
     """Margin in the reference measure: fy_loss(s*c, y, q_margin measure)."""
     _refuse_overflow(cfg, params)
-    theta, q = _margin_row(c, y, cfg, ("q_margin",))
-    return fy_loss(theta, y, q, params)
+    return _margin_loss(c, y, cfg, params, ("q_margin",))
 
 
 def a3m_loss(c, y, cfg, params):
     """Geometric angular margin on the logits with a uniform reference measure."""
-    theta, q = _margin_row(c, y, cfg, ("a3m",))
-    return fy_loss(theta, y, q, params)
+    return _margin_loss(c, y, cfg, params, ("a3m",))
 
 
 def baseline_ce_loss(c, y, cfg):
     """CosFace/ArcFace cross-entropy over softargmax of margin-modified cosines."""
-    theta, _ = _margin_row(c, y, cfg, ("cosface", "arcface"))
-    return _row_output(*_ce_rows(theta[None], [y]), y)
+    return _margin_loss(c, y, cfg, None, ("cosface", "arcface"))
 
 
 def batch_posteriors(C, ys, cfg, params):
     """Posterior matrix (B, k) for the configured loss at cosine matrix C."""
     _refuse_overflow(cfg, params)
-    Theta, Q = margin_logits(C, ys, cfg)
-    if Q is None:
+    Theta, q_y = margin_logits(C, ys, cfg)
+    if q_y is None:
         return _ce_rows(Theta, ys)[1]
-    P, _ = backend.posterior_batch(Theta, Q, params.alpha, params.bisect_tol, params.max_iters)
-    return P
+    return backend.posterior_batch(
+        Theta, q_y, params.alpha, params.bisect_tol, params.max_iters, ys
+    )[0]
 
 
 def batch_loss_and_cosine_grad(C, ys, cfg, params):
@@ -224,8 +228,8 @@ def batch_loss_and_cosine_grad(C, ys, cfg, params):
     Returns (values (B,), dC (B,k), posteriors (B,k)).
     """
     _refuse_overflow(cfg, params)
-    Theta, Q = margin_logits(C, ys, cfg)  # the one check of this batch
-    values, P = _ce_rows(Theta, ys) if Q is None else _fy_rows(Theta, ys, Q, params)
+    Theta, q_y = margin_logits(C, ys, cfg)  # the one check of this batch
+    values, P = _ce_rows(Theta, ys) if q_y is None else _fy_rows(Theta, ys, q_y, params)
     dC = cfg.scale * _minus_targets(P, ys)
     if cfg.mode in ("a3m", "arcface"):
         rows = np.arange(len(ys))

@@ -270,6 +270,98 @@ def test_batch_row_without_mass_is_a_solver_error():
         backend.posterior_batch(theta, q, 1.5, 1e-10, 200)
 
 
+def _target_weight_rows(rng, B, k, weights, alpha):
+    """Logits, labels and target weights of q_margin-style or uniform rows. Every
+    third row has its target as argmax. At k = 2 some rows have a target weight
+    that (k - 1) + q_y cannot hold, so lo == hi. At k > 2 every fourth row has
+    one dominant class, a non-target, so that the solve can end at tau = lo,
+    and up to nine columns a few ulps either side of the clip at lo; the
+    returned list names those (row, columns)."""
+    theta = rng.uniform(-1.0, 1.0, (B, k)) * rng.choice([0.5, 4.0, 32.0], size=(B, 1))
+    ys = rng.integers(k, size=B)
+    rows = np.arange(B)
+    if weights == "uniform":
+        q_y = np.ones(B)
+    else:
+        # the training weight exp(-32 * 0.2), and weights down to e^-60
+        q_y = np.where(rng.random(B) < 0.5, np.exp(-6.4), np.exp(-rng.uniform(0.0, 60.0, B)))
+    mine = rows[::3]
+    theta[mine, ys[mine]] = theta[mine].max(axis=1) + rng.uniform(0.0, 2.0, len(mine))
+    if k == 2:
+        point = rows[1::3]
+        q_y[point] = 1e-20
+        theta[point, ys[point]] = theta[point, 1 - ys[point]] - rng.uniform(0.1, 2.0, len(point))
+        return theta, ys, q_y, []
+    planted = []
+    for i in rows[1::4]:
+        t = (ys[i] + 1) % k
+        theta[i] = np.where(np.arange(k) == t, theta[i, t], theta[i, t] - 50.0)
+        lo = backend._bracket(theta[i : i + 1], q_y[i : i + 1], alpha, ys[i : i + 1])[0][0]
+        edge = lo - 1.0 / (alpha - 1.0)  # where 1 + (alpha - 1) * (theta_j - lo) = 0
+        cols = [j for j in range(k) if j not in (t, ys[i])][:9]
+        theta[i, cols] = edge + (np.arange(len(cols)) - len(cols) // 2) * np.spacing(abs(edge))
+        planted.append((i, cols))
+    return theta, ys, q_y, planted
+
+
+def _solve_or_error(*args):
+    try:
+        return backend.posterior_batch(*args)
+    except SolverError as exc:
+        return str(exc)
+
+
+def _same_solve(a, b):
+    """Two results of _solve_or_error are the same error or bitwise the same (P, taus)."""
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+class TestTargetWeightsMatchTheDenseMeasure:
+    """posterior_batch at (B,) target weights with labels ys is bitwise its
+    solve at the dense (B, k) measure that is q_y on the targets, 1 elsewhere."""
+
+    @pytest.mark.parametrize("weights", ["q_margin", "uniform"])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_bitwise_equal_to_the_dense_solve(self, alpha, weights, monkeypatch):
+        monkeypatch.setattr(backend, "BLOCK_ROWS", 128)
+        rng = np.random.default_rng([ALPHAS.index(alpha), len(weights)])
+        straddled = ended_at_lo = 0
+        for B in (1, 127, 128, 129, 300):
+            for k in (2, 3, 200):
+                theta, ys, q_y, planted = _target_weight_rows(rng, B, k, weights, alpha)
+                Q = np.ones((B, k))
+                Q[np.arange(B), ys] = q_y
+                got = _solve_or_error(theta, q_y, alpha, 1e-10, 200, ys)
+                assert _same_solve(got, _solve_or_error(theta, Q, alpha, 1e-10, 200)), (B, k)
+                if isinstance(got, str):
+                    # a row the solver gives up on (ROADMAP item 13) hides the
+                    # rows after it: compare each row alone
+                    for i in range(B):
+                        one = _solve_or_error(theta[[i]], q_y[[i]], alpha, 1e-10, 200, ys[[i]])
+                        ref = _solve_or_error(theta[[i]], Q[[i]], alpha, 1e-10, 200)
+                        assert _same_solve(one, ref), (B, k, i)
+                    continue
+                lo, hi = backend._bracket(theta, q_y, alpha, ys)
+                lo_dense, hi_dense = backend._bracket(theta, Q, alpha)
+                # (k - 1) + q_y may differ in its last bit from the pairwise
+                # row sum of Q from k = 3 on, and so hi; P and taus may not
+                assert np.array_equal(lo, lo_dense) and (k > 2 or np.array_equal(hi, hi_dense))
+                if k == 2 and weights == "q_margin" and B > 1:
+                    assert np.any(lo == hi), B
+                P, taus = got
+                for i, cols in planted:
+                    z = 1.0 + (alpha - 1.0) * (theta[i, cols] - lo[i])
+                    straddled += np.any(z > 0.0) and np.any(z <= 0.0)
+                    if taus[i] == lo[i]:
+                        # a column with z > 0 at lo was a candidate: it holds mass there
+                        ended_at_lo += 1
+                        assert np.array_equal(P[i, cols] > 0.0, z > 0.0), (B, k, i)
+        assert straddled > 0
+        assert ended_at_lo > 0 or alpha > 2.0
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_posterior_is_one_posterior_batch_call_on_one_row(alpha, monkeypatch):
     # posterior used to solve through a private twin of posterior_batch

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from alphamargin import backend, losses
+from alphamargin import backend, core, losses
 from alphamargin.core import AlphaParams, alpha_softargmax, alpha_softmax, divergence, root_find_tau
 from alphamargin.losses import (
     MODES,
@@ -24,6 +24,7 @@ from conftest import (
     cosface_recovery_draws,
     cross_entropy_oracle,
     fy_loss_reference,
+    traced_peak,
 )
 
 A2 = AlphaParams(2.0)
@@ -66,9 +67,14 @@ def _outcomes(calls):
 
 
 def one_row(c, y, cfg):
-    """margin_logits of one cosine row: (theta, q), q None for the CE modes."""
-    Theta, Q = margin_logits([c], [y], cfg)
-    return Theta[0], None if Q is None else Q[0]
+    """margin_logits of one cosine row: (theta, q), with the dense measure q
+    built from its target weight, q None for the CE modes."""
+    Theta, q_y = margin_logits([c], [y], cfg)
+    if q_y is None:
+        return Theta[0], None
+    q = np.ones(Theta.shape[1])
+    q[y] = q_y[0]
+    return Theta[0], q
 
 
 def brute_force_softmax_f(theta, q, alpha, grid=2_000_001):
@@ -96,6 +102,22 @@ class TestMarginConfig:
     def test_scale_must_be_finite(self, scale):
         with pytest.raises(ValueError, match="scale must be finite"):
             MarginConfig(scale=scale, margin=0.1, mode="cosface")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_the_largest_scale_keeps_the_losses_in_doubles(self, mode):
+        # a scale near max double overflowed the loss value or the gradient
+        # (a3m's target gradient is about 2236*s at the arccos guard band)
+        with pytest.raises(ValueError, match="<= 1e300, got 1.0000000000000002e\\+300"):
+            MarginConfig(scale=np.nextafter(1e300, np.inf), margin=0.5, mode=mode)
+        if mode == "q_margin":
+            return  # its target weight exp(-s*m) needs s*m <= 708.4
+        cfg = MarginConfig(scale=1e300, margin=0.5, mode=mode)
+        C = np.array([[1.0, 1.0, -1.0], [-1.0, 1.0, 0.3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, dC, P = batch_loss_and_cosine_grad(C, [0, 0], cfg, AlphaParams(5.0))
+        assert np.all(np.isfinite(values)) and np.all(np.isfinite(dC))
+        assert np.abs(dC).max() > 1e303 or mode == "cosface"
 
     def test_q_margin_rejects_a_target_weight_below_the_normal_range(self):
         # exp(-s*m) must be a normal double: s*m <= -ln(tiny) ~ 708.3964
@@ -165,11 +187,11 @@ class TestOverflowingLossConstant:
                 hi = mid
         assert 2.0 * hi * 0.9 == pytest.approx(np.log(np.finfo(np.float64).max), rel=1e-15)
         with np.errstate(over="ignore"):
-            lo_end, _ = backend._bracket(*margin_logits(C, [0], cfg(hi)), a.alpha)
+            lo_end, _ = backend._bracket(*margin_logits(C, [0], cfg(hi)), a.alpha, [0])
         assert lo_end[0] == -np.inf
         # one double below, the bracket, the loss and the posterior are finite
         values, _, P = batch_loss_and_cosine_grad(C, [0], cfg(lo), a)
-        assert np.isfinite(backend._bracket(*margin_logits(C, [0], cfg(lo)), a.alpha)[0][0])
+        assert np.isfinite(backend._bracket(*margin_logits(C, [0], cfg(lo)), a.alpha, [0])[0][0])
         assert np.isfinite(values[0]) and abs(P.sum() - 1.0) <= 1e-8
         assert q_margin_loss(C[0], 0, cfg(lo), a).value == values[0]
 
@@ -585,3 +607,62 @@ class TestBatchHelpers:
             checks.clear()
             entry(C, ys, cfg, a)
             assert len(checks) == 1, entry.__name__
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_a_single_row_is_checked_once(self, monkeypatch, rng, mode):
+        # q_margin_loss and a3m_loss used to check their row again in fy_loss
+        checks, solves = [], []
+        for module in (losses, core):
+            checked = module._checked_rows
+            monkeypatch.setattr(
+                module, "_checked_rows", lambda *args, f=checked: checks.append(1) or f(*args)
+            )
+        posterior = backend.posterior
+        monkeypatch.setattr(
+            backend, "posterior", lambda *args, **kw: solves.append((args, kw)) or posterior(*args)
+        )
+        c, cfg, a = rng.uniform(-0.9, 0.9, 10), _cfg(mode, 16.0), AlphaParams(1.5)
+        if mode == "q_margin":
+            out = q_margin_loss(c, 3, cfg, a)
+        elif mode == "a3m":
+            out = a3m_loss(c, 3, cfg, a)
+        else:
+            out = baseline_ce_loss(c, 3, cfg)
+        assert len(checks) == 1
+        if mode in ("q_margin", "a3m"):
+            # one positional call of backend.posterior on the 1-D row
+            (args, kw), = solves
+            assert not kw and len(args) == 5 and args[0].shape == args[1].shape == (10,)
+            assert np.array_equal(args[1] != 1.0, np.arange(10) == 3) or mode == "a3m"
+            assert out.posterior.to_dense().tobytes() == posterior(*args)[0].tobytes()
+        else:
+            assert not solves
+
+    @pytest.mark.parametrize(
+        "mode, entry, bound",
+        [
+            ("q_margin", batch_loss_and_cosine_grad, 3.5),
+            ("q_margin", batch_posteriors, 3.5),
+            ("a3m", batch_loss_and_cosine_grad, 3.25),
+            ("a3m", batch_posteriors, 2.5),
+        ],
+        ids=["q_margin-loss", "q_margin-posteriors", "a3m-loss", "a3m-posteriors"],
+    )
+    def test_peak_in_batch_arrays(self, mode, entry, bound):
+        # One (B, k) float64 array is 10.24 MB here. The dense reference
+        # measure that margin_logits used to build, and the five (B, k) passes
+        # of the candidate test, made a peak of 4.3 such arrays in q_margin
+        # mode and 4.1 in a3m mode. Now the peak is the logits, P and P*Theta
+        # for the loss (3.0), the logits and P for the posteriors (2.1), and
+        # in q_margin mode the loose bracket's candidates (3.3 for both).
+        B, k, d = 128, 10_000, 16
+        rng = np.random.default_rng(5)
+        W = rng.normal(size=(k, d))
+        W /= np.linalg.norm(W, axis=1, keepdims=True)
+        ys = rng.integers(k, size=B)
+        # embeddings near their prototypes, as in training
+        E = rng.normal(size=(B, d)) + 2.0 * W[ys]
+        E /= np.linalg.norm(E, axis=1, keepdims=True)
+        C = E @ W.T
+        _, peak = traced_peak(entry, C, ys, _cfg(mode, 32.0), AlphaParams(1.25))
+        assert peak <= bound * B * k * 8, peak / (B * k * 8)
