@@ -13,8 +13,9 @@ holds the support, and convex and decreasing for alpha <= 2, so its steps
 from the lower bracket end never overshoot. One power per sweep,
 w = z ** (1/(alpha-1) - 1), gives both S = sum(q*w*z) and S' = -sum(q*w).
 
-The bracket [lo, hi] = [theta_t - f'(1/q_t), theta_t - f'(1/sum(q))] for
-t = argmax theta is kept, and a step that leaves it is replaced by a
+The bracket [lo, hi] = [max_j (theta_j - f'(1/q_j)), theta_t - f'(1/sum(q))],
+t = argmax theta, is kept: p_j = 1 at theta_j - f'(1/q_j) and S >= p_j, so
+every class bounds tau from below. A step that leaves it is replaced by a
 bisection step (alpha > 2 makes phi concave near the root). q is a (B, k)
 measure or, with labels ys, the (B,) target weights of a measure 1 elsewhere.
 
@@ -62,12 +63,20 @@ def f_prime_inv(log_q, alpha):
 
 
 def _bracket(theta, q, alpha, ys=None):
-    """[theta_t - f'(1/q_t), theta_t - f'(1/sum(q))] per row, t = argmax theta. With
-    labels ys and target weights q, q_t = q_y if t = y else 1 and sum(q) = (k - 1) + q_y."""
-    t = (np.arange(len(theta)), np.argmax(theta, axis=1))
-    q_t = q[t] if ys is None else np.where(t[1] == ys, q, 1.0)
-    q_sum = q.sum(axis=1) if ys is None else (theta.shape[1] - 1) + q
-    return theta[t] - f_prime_inv(np.log(q_t), alpha), theta[t] - f_prime_inv(np.log(q_sum), alpha)
+    """[max_j (theta_j - f'(1/q_j)), theta_t - f'(1/sum(q))] per row, t = argmax theta. With
+    labels ys and target weights q, off-target q_j = 1 (f'(1) = 0) and sum(q) = (k - 1) + q_y."""
+    rows, t = np.arange(len(theta)), np.argmax(theta, axis=1)
+    top = theta[rows, t]
+    if ys is None:
+        lo, q_sum = np.max(theta - f_prime_inv(np.log(q), alpha), axis=1), q.sum(axis=1)
+    else:  # the target's term, and the largest off-target logit where the target is the argmax
+        tgt, q_sum = theta[rows, ys] - f_prime_inv(np.log(q), alpha), (theta.shape[1] - 1) + q
+        lo = np.maximum(top, tgt)
+        own = np.flatnonzero((t == ys) & (tgt < top))
+        off = theta[own]
+        off[np.arange(len(own)), ys[own]] = -np.inf
+        lo[own] = np.maximum(off.max(axis=1), tgt[own])
+    return lo, top - f_prime_inv(np.log(q_sum), alpha)
 
 
 def _solve_block(theta, q, alpha, tol, max_iters, P, taus, start, ys=None):
@@ -76,11 +85,13 @@ def _solve_block(theta, q, alpha, tol, max_iters, P, taus, start, ys=None):
     A sweep at tau sums only the row's candidate columns: tau never falls
     below the lower bracket end lo, and a column at or below the double under
     fl(lo - c), c >= 1/(alpha-1), has z <= 0 there in doubles. Candidates
-    clipped at lo add exact zeros. A row fails iff its written posterior does
-    not sum to 1 within SUM_TOL, and every kind of failure ends that way: a
-    non-finite bracket leaves the row no candidates, max_iters sweeps leave it
-    unwritten, and at alpha > 2 a class near its clip can hold more mass than
-    any double tau resolves. Raises SolverError for the first, as row start + i.
+    clipped later add exact zeros; from the tight lo they are close to the
+    final support, so the solve keeps them all. A row fails iff its written
+    posterior does not sum to 1 within SUM_TOL, and every kind of failure
+    ends that way: a non-finite bracket leaves the row no candidates,
+    max_iters sweeps leave it unwritten, and at alpha > 2 a class near its
+    clip can hold more mass than any double tau resolves. Raises SolverError
+    for the first, as row start + i.
     """
     am1 = alpha - 1.0
     e = 1.0 / am1 - 1.0
@@ -120,9 +131,6 @@ def _solve_block(theta, q, alpha, tol, max_iters, P, taus, start, ys=None):
             live = live & ~done  # not in place: live starts as finite
             if not np.count_nonzero(live):
                 break
-            # drop the finished rows, and the columns clipped at a new lower end
-            keep = np.flatnonzero(~fin & ((z > 0.0) | ~up[crow]))
-            crow, at, th_c, q_c = crow[keep], at[keep], th_c[keep], q_c[keep]
         tau = np.where((lo < newton) & (newton <= hi), newton, 0.5 * (lo + hi))
 
     totals = P.sum(axis=1)

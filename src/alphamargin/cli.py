@@ -10,6 +10,7 @@ entropy sources, so every subcommand is deterministic given its inputs.
 
 import argparse
 import configparser
+import functools
 import json
 import sys
 from dataclasses import fields
@@ -301,6 +302,7 @@ def far_target(text):
     return value
 
 
+@functools.cache  # built once per process: parse_args does not change it
 def build_parser():
     parser = _Parser(prog="alphamargin", description=__doc__)
     sub = parser.add_subparsers(dest="command")

@@ -211,7 +211,7 @@ def _solve_row(theta, q, params, ys=None):
 def root_find_tau(theta, q, params):
     """Normalizing shift tau* solving sum_j q_j * f_conj_prime(theta_j - tau) = 1.
 
-    Safeguarded Newton inside the bracket [theta_t - f'(1/q_t),
+    Safeguarded Newton inside the bracket [max_j (theta_j - f'(1/q_j)),
     theta_t - f'(1/sum(q))] for t = argmax theta. Raises SolverError if the
     bracket is not finite, the posterior at tau does not sum to 1, or
     max_iters sweeps end before the solve converges.

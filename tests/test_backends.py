@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from alphamargin import backend
+from alphamargin import backend, core
 from alphamargin.errors import SolverError
 
 from conftest import posterior_bisection_reference
@@ -184,16 +184,21 @@ class TestBatchMatchesRowLoop:
         assert _raised(backend.posterior_batch, theta, q, 1.5, 1e-10, 3) == expected
 
     def test_an_infinite_bracket_names_its_own_ends(self):
-        # q_t = 5e-324 at alpha = 3 puts lo at -inf; the sweeps of row 0 also
-        # move the bracket of the dead row 1, and the message keeps its ends
+        # every weight 5e-324 at alpha = 3 puts both ends at -inf; the sweeps
+        # of row 0 also move the bracket of the dead row 1, and the message
+        # keeps its ends
         theta = np.zeros((2, 5))
         theta[1, 0] = 1.0
         q = np.ones((2, 5))
-        q[1, 0] = 5e-324
+        q[1] = 5e-324
         assert _raised(backend.posterior_batch, theta, q, 3.0, 1e-10, 200) == (
-            "row 1: bracket [-inf, 1.46875] is not finite (logits or reference measure out "
+            "row 1: bracket [-inf, -inf] is not finite (logits or reference measure out "
             "of the solver's range)"
         )
+        # one such weight no longer does: each other class bounds tau from below
+        q[1] = [5e-324, 1.0, 1.0, 1.0, 1.0]
+        P, _ = backend.posterior_batch(theta, q, 3.0, 1e-10, 200)
+        assert P.min() >= 0.0 and np.abs(P.sum(axis=1) - 1.0).max() <= 1e-11
 
     def test_a_block_with_no_finite_bracket_takes_no_sweep(self, monkeypatch):
         # with no row live from the start there is nothing to sweep; the
@@ -202,14 +207,18 @@ class TestBatchMatchesRowLoop:
         real = backend._weights
         monkeypatch.setattr(backend, "_weights", lambda *args: calls.append(1) or real(*args))
         theta = np.zeros((1, 200))
-        q = np.ones((1, 200))
-        q[0, 0] = 5e-324
+        q = np.full((1, 200), 5e-324)
         message = _raised(backend.posterior_batch, theta, q, 3.0, 1e-10, 200)
         assert (message, len(calls)) == (
-            "row 0: bracket [-inf, 0.4999873740562107] is not finite (logits or reference "
+            "row 0: bracket [-inf, -inf] is not finite (logits or reference "
             "measure out of the solver's range)",
             0,
         )
+        # a single 5e-324 weight leaves a finite bracket, and the row solves
+        q = np.ones((1, 200))
+        q[0, 0] = 5e-324
+        P, _ = backend.posterior_batch(theta, q, 3.0, 1e-10, 200)
+        assert np.count_nonzero(P) == 199 and abs(P.sum() - 1.0) <= 1e-11
 
 
 class TestExits:
@@ -360,6 +369,79 @@ class TestTargetWeightsMatchTheDenseMeasure:
                         assert np.array_equal(P[i, cols] > 0.0, z > 0.0), (B, k, i)
         assert straddled > 0
         assert ended_at_lo > 0 or alpha > 2.0
+
+
+def _first_sweep_columns(monkeypatch, theta, q, alpha, bracket=None):
+    """Columns the first sweep of a dense one-row solve works on, optionally from another bracket."""
+    sizes = []
+    real = backend._weights
+    with monkeypatch.context() as m:
+        m.setattr(backend, "_weights", lambda z, *args: sizes.append(z.size) or real(z, *args))
+        if bracket is not None:
+            m.setattr(backend, "_bracket", bracket)
+        _solve_or_error(theta, q, alpha, 1e-10, 200)
+    return sizes[0] if sizes else 0
+
+
+def _argmax_bracket(theta, q, alpha, ys=None):
+    """[theta_t - f'(1/q_t), theta_t - f'(1/sum(q))], t = argmax theta: the argmax class
+    alone. Dense q only; ys is the solver's argument, None there."""
+    t = (np.arange(len(theta)), np.argmax(theta, axis=1))
+    q_t, q_sum = q[t], q.sum(axis=1)
+    return theta[t] - backend.f_prime_inv(np.log(np.stack([q_t, q_sum])), alpha)
+
+
+class TestTightLowerEnd:
+    """lo = max_j (theta_j - f'(1/q_j)): each class alone bounds tau* from
+    below, since S(tau) >= p_j(tau)."""
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_the_bracket_holds_the_root_and_narrows_the_candidates(
+        self, alpha, measure, monkeypatch
+    ):
+        rng = np.random.default_rng([ALPHAS.index(alpha), MEASURES.index(measure), 1])
+        am1 = alpha - 1.0
+        for k in (2, 3, 200):
+            B = 40
+            theta, q = _inputs(rng, B, k, measure)
+            rows = np.arange(B)
+            ys = np.argmin(q, axis=1) if measure == "q_margin" else rng.integers(k, size=B)
+            # the parity inputs, and rows whose target is their argmax
+            theta[rows[::2], ys[::2]] = theta[::2].max(axis=1) + rng.uniform(0.0, 2.0, B // 2)
+            tight = np.max(theta - backend.f_prime_inv(np.log(q), alpha), axis=1)
+            lo, hi = backend._bracket(theta, q, alpha)
+            assert np.array_equal(lo, tight), k
+            if measure != "random":  # q is q_y on the targets and 1 elsewhere
+                assert np.array_equal(backend._bracket(theta, q[rows, ys], alpha, ys)[0], tight)
+            # S(lo) >= 1 >= S(hi), and S is nonincreasing: lo <= tau* <= hi
+            for end, sign in ((lo, 1.0), (hi, -1.0)):
+                z = np.maximum(1.0 + am1 * (theta - end[:, None]), 0.0)
+                assert np.all(sign * ((q * z ** (1.0 / am1)).sum(axis=1) - 1.0) >= -1e-12), k
+            got = _solve_or_error(theta, q, alpha, 1e-10, 200)
+            assert not isinstance(got, str), (k, got)
+            assert np.all((lo <= got[1]) & (got[1] <= hi)), k
+            # the target-weight path's end is bitwise the dense one, so its candidates are too
+            for i in rows:
+                one = (theta[[i]], q[[i]], alpha)
+                was = _first_sweep_columns(monkeypatch, *one, bracket=_argmax_bracket)
+                assert _first_sweep_columns(monkeypatch, *one) <= was, (k, i)
+
+    def test_a_target_argmax_row_that_used_up_max_iters_solves(self):
+        # at alpha = 3 the argmax class's end lay about 2e51 below the root,
+        # and the row raised "did not converge in 200 iterations"
+        theta = np.array([[2.7007628, -2.87547927, -1.4699676]])
+        q = np.array([[1.541e-26, 1.0, 1.0]])
+        params = core.AlphaParams(3.0)
+        P, taus = backend.posterior_batch(theta, q, 3.0, params.bisect_tol, params.max_iters)
+        P_y, taus_y = backend.posterior_batch(
+            theta, q[:, 0], 3.0, params.bisect_tol, params.max_iters, np.array([0])
+        )
+        assert np.array_equal(P, P_y) and np.array_equal(taus, taus_y)
+        # the oracle bisects from that loose end, so 200 halvings reach only 1e-8
+        p_ref, tau_ref = posterior_bisection_reference(theta[0], q[0], 3.0, 1e-8, params.max_iters)
+        assert np.abs(P[0] - p_ref).max() <= 1e-8 and abs(taus[0] - tau_ref) <= 1e-8
+        assert np.array_equal(P[0] == 0.0, p_ref == 0.0) and abs(P.sum() - 1.0) <= 1e-11
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)

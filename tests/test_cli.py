@@ -451,6 +451,24 @@ class TestEval:
         assert code == 0
         assert "unattainable" in (out / "report.txt").read_text()
 
+    def test_a_second_eval_does_not_inherit_the_first_far_list(self, tmp_path, dataset_path):
+        # main reuses one parser per process; the --far list is built per call
+        ckpt = self._train(tmp_path, dataset_path)
+        reports = []
+        for name, far in (("first", ["--far", "0.1", "--far", "0.2"]), ("second", [])):
+            out = tmp_path / name
+            code = run(
+                [
+                    "eval", "--checkpoint", str(ckpt), "--dataset", str(dataset_path),
+                    "--n-genuine", "50", "--n-impostor", "50", *far, "--out-dir", str(out),
+                ]
+            )
+            assert code == 0
+            reports.append((out / "report.txt").read_text())
+        assert cli.build_parser() is cli.build_parser()
+        assert "far=0.1" in reports[0] and "far=0.2" in reports[0]
+        assert "far=" not in reports[1]
+
     def test_out_of_range_trial_is_data_error(self, tmp_path, dataset_path, capsys):
         ckpt = self._train(tmp_path, dataset_path)
         trials_path = tmp_path / "trials.csv"

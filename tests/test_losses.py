@@ -170,7 +170,7 @@ class TestOverflowingLossConstant:
         assert _outcomes(calls) == {name: (ValueError, _OVERFLOW) for name in calls}
 
     @pytest.mark.filterwarnings("error")
-    def test_the_bound_is_the_first_scale_whose_bracket_overflows(self):
+    def test_the_bound_is_the_first_scale_whose_loss_constant_overflows(self):
         # bisect over doubles for the last scale the check lets through
         a, C = AlphaParams(3.0), np.array([[0.9, 0.1, -0.2]])
 
@@ -186,12 +186,16 @@ class TestOverflowingLossConstant:
             except ValueError:
                 hi = mid
         assert 2.0 * hi * 0.9 == pytest.approx(np.log(np.finfo(np.float64).max), rel=1e-15)
-        with np.errstate(over="ignore"):
-            lo_end, _ = backend._bracket(*margin_logits(C, [0], cfg(hi)), a.alpha, [0])
-        assert lo_end[0] == -np.inf
-        # one double below, the bracket, the loss and the posterior are finite
+        # f'(1/q_y) overflows at hi and not one double below; the bracket's
+        # lower end is the largest off-target logit at both, so it stays finite
+        for s, constant_finite in ((hi, False), (lo, True)):
+            Theta, q_y = margin_logits(C, [0], cfg(s))
+            with np.errstate(over="ignore"):
+                constant = backend.f_prime_inv(np.log(q_y), a.alpha)
+                bracket = backend._bracket(Theta, q_y, a.alpha, np.array([0]))
+            assert np.isfinite(constant[0]) == constant_finite and np.all(np.isfinite(bracket)), s
+        # one double below, the loss and the posterior are finite
         values, _, P = batch_loss_and_cosine_grad(C, [0], cfg(lo), a)
-        assert np.isfinite(backend._bracket(*margin_logits(C, [0], cfg(lo)), a.alpha, [0])[0][0])
         assert np.isfinite(values[0]) and abs(P.sum() - 1.0) <= 1e-8
         assert q_margin_loss(C[0], 0, cfg(lo), a).value == values[0]
 
