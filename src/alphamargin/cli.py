@@ -146,6 +146,8 @@ def cmd_train(args):
     parsed, cp = read_train_config(args.config)
     out_dir = output_dir(parsed["out_dir"])
     dataset = synthdata.load(parsed["dataset"])
+    if dataset.k < 2:
+        raise DataFormatError(f"{parsed['dataset']}: {dataset.k} identity; training needs k >= 2")
     result = trainer.train(dataset, parsed["train"])
     # a failed run leaves no out_dir behind
     out_dir.mkdir(parents=True, exist_ok=True)

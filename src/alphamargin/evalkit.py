@@ -14,9 +14,10 @@ however many sweeps read it, and FAR(t) and FRR(t) are counted at every
 threshold by binary search. The DET sweep is an (m, 3) float array, written
 to CSV SCORE_BLOCK rows at a time, column by column.
 
-The sparsity report solves backend.BLOCK_ROWS rows at a time and keeps two
-numbers per row (p_y = 0, nonzeros), so it holds O(n + BLOCK_ROWS * k)
-memory and never an (n, k) cosine, logit or posterior matrix.
+The sparsity report builds cosines and logits backend.BLOCK_ROWS rows at a
+time and keeps two numbers per row (p_y = 0, nonzeros), for the margin losses
+read off the solver's support a sweep group (<= BLOCK_ROWS * k candidates) at
+a time: O(n + BLOCK_ROWS * k) memory, never an (n, k) matrix.
 
 Tie handling: impostor scores equal to the threshold count as accepted
 (>= comparison). Thresholds are observed scores. FAR targets below
@@ -337,21 +338,33 @@ def sparsity_report(embeddings, labels, prototypes, loss_cfg, params) -> Sparsit
     Zeros are exact zeros from the solver's clip; no epsilon pruning. The
     baseline losses' softmax posteriors have no zeros in exact arithmetic, but
     exp underflows to 0.0 at a large scale, so their statistics need not be
-    zero (cosface at s=1000 leaves half of the entries at 0.0). Rows are solved
-    backend.BLOCK_ROWS at a time; each keeps only whether p_y = 0 and its
-    count of nonzeros.
+    zero (cosface at s=1000 leaves half of the entries at 0.0). Cosines are
+    built backend.BLOCK_ROWS rows at a time. The margin losses read p_y = 0 and
+    the nonzeros of each row off the support of one posterior_support call; the
+    baselines count their dense softmax posteriors block by block.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     prototypes = np.asarray(prototypes)
     n, k = len(embeddings), len(prototypes)
     labels = core._checked_labels(labels, n, k)
-    py_zero = np.empty(n, dtype=bool)
-    nnz = np.empty(n, dtype=np.intp)
-    for start in range(0, n, backend.BLOCK_ROWS):
-        blk = slice(start, start + backend.BLOCK_ROWS)
-        P = losses.batch_posteriors(embeddings[blk] @ prototypes.T, labels[blk], loss_cfg, params)
-        py_zero[blk] = P[np.arange(len(P)), labels[blk]] == 0.0
-        nnz[blk] = np.count_nonzero(P, axis=1)
+    py_zero, nnz = np.ones(n, dtype=bool), np.zeros(n, dtype=np.intp)
+    cut = [slice(s, s + backend.BLOCK_ROWS) for s in range(0, n, backend.BLOCK_ROWS)]
+    if loss_cfg.mode in ("cosface", "arcface"):
+        for r in cut:
+            P = losses.batch_posteriors(embeddings[r] @ prototypes.T, labels[r], loss_cfg, params)
+            py_zero[r] = P[np.arange(len(P)), labels[r]] == 0.0
+            nnz[r] = np.count_nonzero(P, axis=1)
+    else:
+        losses._refuse_overflow(loss_cfg, params)
+        blocks = (
+            (*losses.margin_logits(embeddings[r] @ prototypes.T, labels[r], loss_cfg), labels[r])
+            for r in cut
+        )
+        solve = (params.alpha, params.bisect_tol, params.max_iters)
+        for rows, cols, vals, _ in backend.posterior_support(blocks, *solve):
+            on = vals != 0.0
+            np.add.at(nnz, rows[on], 1)
+            py_zero[rows[on & (cols == labels[rows])]] = False
     misaligned_images = float(np.mean(py_zero))
     # an identity is misaligned when none of its images is aligned (p_y > 0)
     present = np.bincount(labels, minlength=k) > 0

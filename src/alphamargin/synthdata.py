@@ -185,8 +185,10 @@ def all_finite(array):
 
 
 def _checked(path, points, labels, k):
-    """Points and int64 labels read from path as a Dataset: labels in [0, k), points finite."""
-    if len(labels) and (labels.min() < 0 or labels.max() >= k):
+    """Points and int64 labels read from path as a Dataset: n > 0, labels in [0, k), all finite."""
+    if not len(labels):
+        raise DataFormatError(f"{path}: no samples")
+    if labels.min() < 0 or labels.max() >= k:
         raise DataFormatError(f"{path}: label out of range for k={k}")
     if not all_finite(points):
         raise DataFormatError(f"{path}: point coordinates must be finite")

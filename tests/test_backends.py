@@ -221,6 +221,72 @@ class TestBatchMatchesRowLoop:
         assert np.count_nonzero(P) == 199 and abs(P.sum() - 1.0) <= 1e-11
 
 
+def _support_or_error(theta, q, alpha, tol, max_iters, ys=None):
+    """posterior_support on 7-row blocks, scattered into a zeroed P, as _solve_or_error."""
+    P, taus = np.zeros(theta.shape), []
+    blocks = [
+        (theta[s : s + 7], q[s : s + 7], None if ys is None else ys[s : s + 7])
+        for s in range(0, len(theta), 7)
+    ]
+    try:
+        for rows, cols, vals, t in backend.posterior_support(blocks, alpha, tol, max_iters):
+            P[rows, cols] = vals
+            taus.append(t)
+    except SolverError as exc:
+        return str(exc)
+    return P, np.concatenate(taus)
+
+
+class TestSupportMatchesBatch:
+    """posterior_support over 7-row blocks, whose cap of 7 * k candidates splits
+    the rows into groups, scattered into P: bitwise posterior_batch at its own
+    block size, and the loop of one-row calls."""
+
+    @pytest.mark.parametrize("measure", MEASURES)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_bitwise_equal_to_the_batch_and_the_row_loop(self, alpha, measure, monkeypatch):
+        rng = np.random.default_rng([ALPHAS.index(alpha), MEASURES.index(measure), 3])
+        for k in (2, 3, 200):
+            theta, q = _inputs(rng, 300, k, measure)
+            groups, real = [], backend._sweep
+            with monkeypatch.context() as m:
+                m.setattr(backend, "BLOCK_ROWS", 7)
+                m.setattr(backend, "_sweep", lambda g, *a: groups.append(len(g)) or real(g, *a))
+                got = _support_or_error(theta, q, alpha, 1e-10, 200)
+                if measure != "random":  # the target weights of a measure 1 elsewhere
+                    ys = q.argmin(axis=1) if measure == "q_margin" else rng.integers(k, size=300)
+                    q_y = q[np.arange(300), ys]
+                    got_y = _support_or_error(theta, q_y, alpha, 1e-10, 200, ys)
+            assert _same_solve(got, _solve_or_error(theta, q, alpha, 1e-10, 200)), k
+            if measure != "random":
+                assert _same_solve(got_y, _solve_or_error(theta, q_y, alpha, 1e-10, 200, ys)), k
+            P, taus = got
+            for i in range(300):
+                p, tau = backend.posterior(theta[i], q[i], alpha, 1e-10, 200)
+                assert np.array_equal(p, P[i]) and tau == taus[i], (k, i)
+            calls = 1 if measure == "random" else 2
+            assert sum(groups) == 43 * calls, k  # each call's groups hold its 43 blocks
+            if k == 200:  # several groups; from alpha = 1.25 on, some of several blocks
+                assert len(groups) > calls and (alpha < 1.25 or max(groups) > 1), groups
+
+    @pytest.mark.parametrize(
+        "rows", [{40: "nan", 200: "massless"}, {150: "massless", 151: "nan"}, {290: "nan"}]
+    )
+    @pytest.mark.parametrize("max_iters", [200, 3])
+    def test_failing_rows_raise_like_the_row_loop(self, rows, max_iters, monkeypatch):
+        theta, q = _inputs(np.random.default_rng(21), 300, 200, "q_margin")
+        for i, kind in rows.items():
+            if kind == "nan":  # a bracket that is not finite
+                theta[i, 9] = np.nan
+            else:  # q_t = 1e300 clips every class: the posterior sums to 0
+                q[i, theta[i].argmax()] = 1e300
+        want = _first_row_error(theta, q, 1.5, 1e-10, max_iters)
+        assert ("did not converge in 3" in want) == (max_iters == 3)
+        assert _solve_or_error(theta, q, 1.5, 1e-10, max_iters) == want
+        monkeypatch.setattr(backend, "BLOCK_ROWS", 7)
+        assert _support_or_error(theta, q, 1.5, 1e-10, max_iters) == want
+
+
 class TestExits:
     @pytest.mark.parametrize("alpha", [1.25, 1.5, 2.0])
     def test_roots_beyond_the_residual_resolution_stop_at_a_bracket_end(self, alpha):

@@ -790,6 +790,22 @@ class TestFileFaults:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "n, k, message",
+        [(0, 8, "no samples"), (5, 1, "1 identity; training needs k >= 2")],
+        ids=["no_rows", "one_identity"],
+    )
+    def test_train_degenerate_dataset(self, tmp_path, capsys, n, k, message):
+        # each used to end in a traceback: a ZeroDivisionError at the epoch
+        # loss, and the batch check's "logits must be (B, k) rows with k >= 2"
+        path, out = tmp_path / "degenerate.bin", tmp_path / "o"
+        points = np.tile(np.eye(6)[:1], (n, 1))
+        synthdata.save(synthdata.Dataset(points, np.zeros(n, np.int64), np.zeros(k, np.int64)), path)
+        cfg = write_config(tmp_path / "t.ini", path, out)
+        err = _assert_refused(run(["train", str(cfg)]), capsys, 2, "data")
+        assert err == f"data error: {path}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "bad, message",
         [
             ("nan_dataset", "point coordinates must be finite"),

@@ -334,17 +334,41 @@ class TestSparsityReportStreaming:
         params = AlphaParams(1.25)
         want = sparsity_report_dense_reference(E, labels, W, cfg, params)
         calls = []
-        real = batch_posteriors
+        real = evalkit.losses.margin_logits
 
         def counting(C, *args):
             calls.append(len(C))
             return real(C, *args)
 
         monkeypatch.setattr(backend, "BLOCK_ROWS", 7)
-        monkeypatch.setattr(evalkit.losses, "batch_posteriors", counting)
+        monkeypatch.setattr(evalkit.losses, "margin_logits", counting)
         got = sparsity_report(E, labels, W, cfg, params)
         assert calls == [7] * 42 + [1]
         assert repr(got.to_dict()) == repr(want.to_dict())
+
+    @pytest.mark.parametrize("mode", ["q_margin", "a3m"])
+    @pytest.mark.parametrize("alpha", [1.25, 2.0])
+    def test_rows_across_sweep_groups(self, monkeypatch, mode, alpha):
+        # 7-row blocks at k=40 cap a group at 280 candidates, so the 295
+        # rows are solved in several groups of several blocks each
+        E, labels, W = _report_case(295, seed=2)
+        cfg = MarginConfig(scale=32.0, margin=0.3, mode=mode)
+        params = AlphaParams(alpha)
+        want = sparsity_report_dense_reference(E, labels, W, cfg, params)
+        groups = []
+        real = backend._sweep
+
+        def counting(group, *args):
+            groups.append((len(group), sum(len(block[4]) for block in group)))
+            return real(group, *args)
+
+        monkeypatch.setattr(backend, "BLOCK_ROWS", 7)
+        monkeypatch.setattr(backend, "_sweep", counting)
+        got = sparsity_report(E, labels, W, cfg, params)
+        assert repr(got.to_dict()) == repr(want.to_dict())
+        assert sum(blocks for blocks, _ in groups) == 43
+        assert len(groups) > 1 and max(blocks for blocks, _ in groups) > 1, groups
+        assert all(size <= 7 * 40 or blocks == 1 for blocks, size in groups), groups
 
     def test_bad_labels_are_rejected_as_before(self):
         E, labels, W = _report_case(300)
@@ -374,6 +398,18 @@ class TestSparsityReportStreaming:
         cfg = MarginConfig(scale=32.0, margin=0.2, mode=mode)
         _, peak = traced_peak(sparsity_report, E, labels, W, cfg, AlphaParams(1.25))
         assert peak < n * k * 8 / 2, peak
+
+    @pytest.mark.parametrize("mode", ["q_margin", "a3m"])
+    def test_report_holds_no_dense_posterior(self, mode):
+        # p_y and nnz are read off the solver's support: the peak is one
+        # block's cosines and logits and the last block's logits (3.05 such
+        # arrays); a (256, k) posterior on top of them made 4.13
+        n, k = 2000, 10_000
+        E, labels, W = _report_case(n, k=k)
+        cfg = MarginConfig(scale=32.0, margin=0.2, mode=mode)
+        _, peak = traced_peak(sparsity_report, E, labels, W, cfg, AlphaParams(1.25))
+        block = backend.BLOCK_ROWS * k * 8
+        assert peak <= 3.5 * block, peak / block
 
 
 class TestEvalWorkingSet:
