@@ -187,14 +187,15 @@ def posterior_batch(theta, q, alpha, tol, max_iters, ys=None):
     theta = np.ascontiguousarray(theta, dtype=np.float64)
     q = np.ascontiguousarray(q, dtype=np.float64)
     ys = ys if ys is None else np.asarray(ys)
-    P, taus = np.zeros(theta.shape), np.empty(len(theta))
+    P, taus = None, np.empty(len(theta))
     cut = [slice(s, s + BLOCK_ROWS) for s in range(0, len(theta), BLOCK_ROWS)]
     blocks = ((theta[r], q[r], ys if ys is None else ys[r]) for r in cut)
     start = 0
     for rows, cols, vals, t in posterior_support(blocks, alpha, tol, max_iters):
+        P = np.zeros(theta.shape) if P is None else P  # after a solve's temporaries are freed
         P[rows, cols], taus[start:start + len(t)] = vals, t
         start += len(t)
-    return P, taus
+    return np.zeros(theta.shape) if P is None else P, taus
 
 
 def posterior(theta, q, alpha, tol, max_iters):

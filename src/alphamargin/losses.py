@@ -3,7 +3,8 @@ CosFace/ArcFace cross-entropy baselines.
 
 All losses are stateless functions of cosine similarities against normalized
 prototypes. Margin annealing is resolved by the caller (the trainer); the
-margin stored in MarginConfig is the effective one.
+margin stored in MarginConfig is the effective one. A training step writes
+its gradient over the posteriors it solved, and keeps no copy of them.
 """
 
 from dataclasses import dataclass, replace
@@ -106,10 +107,9 @@ def margin_logits(C, ys, cfg):
 
 
 def _minus_targets(P, ys):
-    """P - Y for the one-hot rows Y of ys: either loss's gradient in its logits."""
-    G = P.copy()
-    G[np.arange(len(ys)), ys] -= 1.0
-    return G
+    """P - Y in place for the one-hot rows Y of ys: either loss's gradient in its logits."""
+    P[np.arange(len(ys)), ys] -= 1.0
+    return P
 
 
 def _ce_rows(Theta, ys):
@@ -125,7 +125,7 @@ def _fy_values(Theta, ys, q, P, taus, alpha):
 
     With p = q * z**(1/(a-1)) at tau, sum_j q_j f(p_j/q_j) = (<p, theta> -
     (tau + 1) * sum(p) + sum(q)) / a and D_f(y:q) = (sum(q) - q_y)/a +
-    q_y f(1/q_y), so the sum(q) terms cancel and no (B, k) power is needed.
+    q_y f(1/q_y), so the sum(q) terms cancel and no (B, k) power or product is needed.
     This is the primal value at the solved posterior, consistent with the
     gradient p - y; core.alpha_softmax reads the tau-stationary dual instead,
     which here would miss the divergence sums by up to 4.6e-12 relative.
@@ -134,7 +134,7 @@ def _fy_values(Theta, ys, q, P, taus, alpha):
     am1 = alpha - 1.0
     q_y = q if q.ndim == 1 else q[rows, ys]
     target = (backend.f_prime_inv(np.log(q_y), alpha) - (1.0 - q_y)) / alpha  # q_y f(1/q_y)
-    p_theta = np.sum(P * Theta, axis=1)
+    p_theta = np.einsum("ij,ij->i", P, Theta)  # row dots <p, theta>
     return (am1 * p_theta + (taus + 1.0) * P.sum(axis=1) - q_y) / alpha + target - Theta[rows, ys]
 
 
@@ -150,7 +150,7 @@ def _row_output(values, P, y):
     """The LossOutput of a one-row batch: its values (1,) and posteriors (1, k) at label y."""
     return LossOutput(
         value=float(values[0]),
-        grad_logits=_minus_targets(P, [y])[0],
+        grad_logits=_minus_targets(P.copy(), [y])[0],
         posterior=PosteriorDistribution.from_dense(P[0]),
     )
 
@@ -169,7 +169,7 @@ def fy_loss_batch(Theta, ys, Q, params):
     """Row-wise fy_loss. Returns (values (B,), grads (B,k), posteriors (B,k))."""
     Theta, ys, _ = _checked_rows(Theta, ys)
     values, P = _fy_rows(Theta, ys, _checked_measure(Q, Theta.shape), params)
-    return values, _minus_targets(P, ys), P
+    return values, _minus_targets(P.copy(), ys), P
 
 
 def arcface_margin_derivative(cy, m):
@@ -223,16 +223,16 @@ def batch_posteriors(C, ys, cfg, params):
 def batch_loss_and_cosine_grad(C, ys, cfg, params):
     """Per-sample loss values and gradients w.r.t. the raw cosines C (B, k).
 
-    Chains the scale factor and, for angular-margin modes, the
-    sin(psi + m)/sin(psi) factor on the target column.
-    Returns (values (B,), dC (B,k), posteriors (B,k)).
+    dC = s * (P - Y), with the sin(psi + m)/sin(psi) factor of the angular-margin
+    modes on the target column, is written over the posteriors P it solved.
+    Returns (values (B,), dC (B,k)).
     """
     _refuse_overflow(cfg, params)
     Theta, q_y = margin_logits(C, ys, cfg)  # the one check of this batch
     values, P = _ce_rows(Theta, ys) if q_y is None else _fy_rows(Theta, ys, q_y, params)
-    dC = cfg.scale * _minus_targets(P, ys)
+    dC = np.multiply(cfg.scale, _minus_targets(P, ys), out=P)
     if cfg.mode in ("a3m", "arcface"):
         rows = np.arange(len(ys))
         cy = np.asarray(C, dtype=np.float64)[rows, ys]
         dC[rows, ys] *= arcface_margin_derivative(cy, cfg.margin)
-    return values, dC, P
+    return values, dC

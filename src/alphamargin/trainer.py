@@ -109,10 +109,7 @@ def forward_cosines(embeddings, prototypes):
 
 
 def loss_and_grads(model: Model, X, ys, loss_cfg, params):
-    """Mean loss over the batch plus gradients for every parameter.
-
-    Returns (mean_loss, grads dict, posterior matrix).
-    """
+    """Mean loss over the batch plus gradients for every parameter: (mean_loss, grads dict)."""
     X = np.asarray(X, dtype=np.float64)
     B = X.shape[0]
 
@@ -123,11 +120,11 @@ def loss_and_grads(model: Model, X, ys, loss_cfg, params):
     if not (np.all(np.isfinite(E)) and np.all(np.isfinite(Wn))):
         raise FloatingPointError("non-finite cosines in the forward pass; aborting the step")
 
-    values, dC, P = batch_loss_and_cosine_grad(C, ys, loss_cfg, params)
+    values, dC = batch_loss_and_cosine_grad(C, ys, loss_cfg, params)
     if not np.all(np.isfinite(dC)):
         raise FloatingPointError("non-finite loss gradient; aborting the step")
 
-    dC = dC / B  # mean loss over the batch
+    dC /= B  # mean loss over the batch
     # head: through the normalization Jacobian of each prototype row
     dWn = dC.T @ E
     dW = (dWn - np.sum(dWn * Wn, axis=1, keepdims=True) * Wn) / w_norm
@@ -145,7 +142,7 @@ def loss_and_grads(model: Model, X, ys, loss_cfg, params):
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient for {name}; aborting the step")
-    return float(values.mean()), grads, P
+    return float(values.mean()), grads
 
 
 def sgd_step(model: Model, grads, velocity, lr, momentum, weight_decay):
@@ -225,7 +222,7 @@ def train(dataset, cfg: TrainConfig) -> TrainResult:
             for batch, lo in enumerate(range(0, dataset.n, cfg.batch_size), 1):
                 idx = order[lo : lo + cfg.batch_size]
                 try:
-                    mean_loss, grads, _ = loss_and_grads(
+                    mean_loss, grads = loss_and_grads(
                         model, dataset.points[idx], dataset.labels[idx], loss_cfg, cfg.alpha
                     )
                     sgd_step(model, grads, velocity, lr, cfg.momentum, cfg.weight_decay)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from alphamargin import losses
+from alphamargin import backend, losses
 from alphamargin.errors import SolverError, UnattainableFARError
 from alphamargin.evalkit import SparsityReport, TrialScoreSet
 
@@ -196,6 +196,43 @@ def sparsity_report_dense_reference(embeddings, labels, prototypes, loss_cfg, pa
         posterior_sparsity=float(np.mean((k - nnz) / k)),
         onehot_fraction=float(np.mean(nnz == 1)),
     )
+
+
+# The margin losses' formulas through the full product P * Theta and a copy
+# P - Y of the posteriors, as they were before the step wrote its gradient over
+# P: the oracle of the parity tests in test_losses.py.
+
+def fy_values_dense_reference(Theta, ys, q_y, P, taus, alpha):
+    """Fenchel-Young values (B,) of posteriors P (B, k) at target weights q_y, with
+    <p, theta> through the full P * Theta and sum(p) through P.sum."""
+    theta_y = Theta[np.arange(len(ys)), ys]
+    target = (backend.f_prime_inv(np.log(q_y), alpha) - (1.0 - q_y)) / alpha  # q_y f(1/q_y)
+    p_theta = np.sum(P * Theta, axis=1)
+    return ((alpha - 1.0) * p_theta + (taus + 1.0) * P.sum(axis=1) - q_y) / alpha + target - theta_y
+
+
+def cosine_grad_dense_reference(C, ys, cfg, P):
+    """s * (P - Y) through a copy of P, times the arccos factor on the target column in
+    the angular-margin modes."""
+    rows = np.arange(len(ys))
+    G = P.copy()
+    G[rows, ys] -= 1.0
+    dC = cfg.scale * G
+    if cfg.mode in ("a3m", "arcface"):
+        cy = np.asarray(C, dtype=np.float64)[rows, ys]
+        dC[rows, ys] *= losses.arcface_margin_derivative(cy, cfg.margin)
+    return dC
+
+
+def loss_and_cosine_grad_dense_reference(C, ys, cfg, params):
+    """batch_loss_and_cosine_grad in q_margin or a3m mode on posterior_batch's dense P:
+    (values (B,), dC (B, k))."""
+    Theta, q_y = losses.margin_logits(C, ys, cfg)
+    P, taus = backend.posterior_batch(
+        Theta, q_y, params.alpha, params.bisect_tol, params.max_iters, ys
+    )
+    values = fy_values_dense_reference(Theta, ys, q_y, P, taus, params.alpha)
+    return values, cosine_grad_dense_reference(C, ys, cfg, P)
 
 
 def traced_peak(fn, *args):

@@ -231,14 +231,14 @@ def test_criterion_4_gradient_audits(capsys):
     cfg = MarginConfig(scale=16.0, margin=0.2, mode="q_margin")
     params = AlphaParams(1.5, bisect_tol=1e-14)
     X, ys = ds.points[:24], ds.labels[:24]
-    _, grads, _ = trainer.loss_and_grads(model, X, ys, cfg, params)
+    _, grads = trainer.loss_and_grads(model, X, ys, cfg, params)
     h = 1e-6
     coord = (3, 2)
     old = model.prototypes[coord]
     model.prototypes[coord] = old + h
-    up, _, _ = trainer.loss_and_grads(model, X, ys, cfg, params)
+    up, _ = trainer.loss_and_grads(model, X, ys, cfg, params)
     model.prototypes[coord] = old - h
-    dn, _, _ = trainer.loss_and_grads(model, X, ys, cfg, params)
+    dn, _ = trainer.loss_and_grads(model, X, ys, cfg, params)
     model.prototypes[coord] = old
     num = (up - dn) / (2 * h)
     proto_err = abs(num - grads["prototypes"][coord]) / max(abs(num), 1e-12)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from alphamargin import backend, core, losses
+from alphamargin import backend, core, losses, trainer
 from alphamargin.core import AlphaParams, alpha_softargmax, alpha_softmax, divergence, root_find_tau
 from alphamargin.losses import (
     MODES,
@@ -18,12 +18,14 @@ from alphamargin.losses import (
     margin_logits,
     q_margin_loss,
 )
+from alphamargin.synthdata import SynthSpec, generate
 
 from conftest import (
     central_diff,
     cosface_recovery_draws,
     cross_entropy_oracle,
     fy_loss_reference,
+    loss_and_cosine_grad_dense_reference,
     traced_peak,
 )
 
@@ -115,7 +117,7 @@ class TestMarginConfig:
         C = np.array([[1.0, 1.0, -1.0], [-1.0, 1.0, 0.3]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values, dC, P = batch_loss_and_cosine_grad(C, [0, 0], cfg, AlphaParams(5.0))
+            values, dC = batch_loss_and_cosine_grad(C, [0, 0], cfg, AlphaParams(5.0))
         assert np.all(np.isfinite(values)) and np.all(np.isfinite(dC))
         assert np.abs(dC).max() > 1e303 or mode == "cosface"
 
@@ -144,7 +146,8 @@ class TestMarginConfig:
             p = out.posterior.to_dense()
             assert abs(p.sum() - 1.0) <= 1e-12 and np.isfinite(out.value)
         C = np.tile(c, (4, 1))
-        values, _, P = batch_loss_and_cosine_grad(C, np.arange(4), cfg, a)
+        values, _ = batch_loss_and_cosine_grad(C, np.arange(4), cfg, a)
+        P = batch_posteriors(C, np.arange(4), cfg, a)
         assert np.abs(P.sum(axis=1) - 1.0).max() <= 1e-12 and np.all(np.isfinite(values))
 
 
@@ -195,7 +198,8 @@ class TestOverflowingLossConstant:
                 bracket = backend._bracket(Theta, q_y, a.alpha, np.array([0]))
             assert np.isfinite(constant[0]) == constant_finite and np.all(np.isfinite(bracket)), s
         # one double below, the loss and the posterior are finite
-        values, _, P = batch_loss_and_cosine_grad(C, [0], cfg(lo), a)
+        values, _ = batch_loss_and_cosine_grad(C, [0], cfg(lo), a)
+        P = batch_posteriors(C, [0], cfg(lo), a)
         assert np.isfinite(values[0]) and abs(P.sum() - 1.0) <= 1e-8
         assert q_margin_loss(C[0], 0, cfg(lo), a).value == values[0]
 
@@ -509,7 +513,8 @@ class TestBatchHelpers:
                 ys = rng.integers(k, size=8)
                 # target cosines on the arccos guard band
                 C[0, ys[0]], C[1, ys[1]] = 1.0, -1.0
-                values, dC, P = batch_loss_and_cosine_grad(C, ys, cfg, a)
+                values, dC = batch_loss_and_cosine_grad(C, ys, cfg, a)
+                P = batch_posteriors(C, ys, cfg, a)
                 G = P.copy()
                 G[np.arange(8), ys] -= 1.0
                 for i in range(8):
@@ -576,6 +581,14 @@ class TestBatchHelpers:
             ys = rng.integers(10, size=16)
             P = batch_posteriors(C, ys, cfg, a)
             np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-8)
+
+    def test_a_batch_of_no_rows(self):
+        # no rows give empty values, gradients and posteriors: the solver yields no group
+        C, ys = np.zeros((0, 3)), np.zeros(0, dtype=np.int64)
+        for name, call in _batch_twins(C, ys, np.ones((0, 3)), AlphaParams(1.5), 8.0).items():
+            values, *arrays = call() if name.startswith(("fy", "batch_loss")) else (None, call())
+            assert values is None or values.shape == (0,), name
+            assert [x.shape for x in arrays] == [(0, 3)] * len(arrays), name
 
     @pytest.mark.parametrize("B, k", [(37, 9), (300, 200)])
     def test_batch_entries_do_not_depend_on_the_layout(self, rng, B, k):
@@ -645,10 +658,10 @@ class TestBatchHelpers:
     @pytest.mark.parametrize(
         "mode, entry, bound",
         [
-            ("q_margin", batch_loss_and_cosine_grad, 3.5),
-            ("q_margin", batch_posteriors, 3.5),
-            ("a3m", batch_loss_and_cosine_grad, 3.25),
-            ("a3m", batch_posteriors, 2.5),
+            ("q_margin", batch_loss_and_cosine_grad, 2.25),
+            ("q_margin", batch_posteriors, 2.25),
+            ("a3m", batch_loss_and_cosine_grad, 2.25),
+            ("a3m", batch_posteriors, 2.25),
         ],
         ids=["q_margin-loss", "q_margin-posteriors", "a3m-loss", "a3m-posteriors"],
     )
@@ -656,17 +669,87 @@ class TestBatchHelpers:
         # One (B, k) float64 array is 10.24 MB here. The dense reference
         # measure that margin_logits used to build, and the five (B, k) passes
         # of the candidate test, made a peak of 4.3 such arrays in q_margin
-        # mode and 4.1 in a3m mode. Now the peak is the logits, P and P*Theta
-        # for the loss (3.0), the logits and P for the posteriors (2.1), and
-        # in q_margin mode the loose bracket's candidates (3.3 for both).
-        B, k, d = 128, 10_000, 16
-        rng = np.random.default_rng(5)
-        W = rng.normal(size=(k, d))
-        W /= np.linalg.norm(W, axis=1, keepdims=True)
+        # mode and 4.1 in a3m mode; the loose bracket's candidates then made
+        # 3.3 in q_margin mode, and P * Theta and the copy P - Y made 3.0 for
+        # the loss. Now each entry holds the logits and P, which the loss
+        # turns into dC in place: 2.01.
+        peak = _step_peak(entry, mode)
+        assert peak <= bound, peak
+
+    @pytest.mark.parametrize("entry", [batch_loss_and_cosine_grad, batch_posteriors])
+    @pytest.mark.parametrize("mode", ["q_margin", "a3m"])
+    def test_peak_when_every_target_is_the_argmax(self, mode, entry):
+        # _bracket copies the rows whose argmax is the target; P is allocated
+        # after that copy is freed, so a trained batch peaks at the logits and
+        # P too (2.01), where the copy on top of P made 3.0
+        peak = _step_peak(entry, mode, pull=50.0)
+        assert peak <= 2.25, peak
+
+
+def _step_peak(entry, mode, pull=2.0):
+    """The traced peak of entry at B=128 rows of k=10^4 cosines, alpha=1.25, in (B, k) arrays,
+    with embeddings pulled towards their prototypes by pull (50: every target is the argmax)."""
+    B, k, d = 128, 10_000, 16
+    rng = np.random.default_rng(5)
+    W = rng.normal(size=(k, d))
+    W /= np.linalg.norm(W, axis=1, keepdims=True)
+    ys = rng.integers(k, size=B)
+    # embeddings near their prototypes, as in training
+    E = rng.normal(size=(B, d)) + pull * W[ys]
+    E /= np.linalg.norm(E, axis=1, keepdims=True)
+    C = E @ W.T
+    _, peak = traced_peak(entry, C, ys, _cfg(mode, 32.0), AlphaParams(1.25))
+    return peak / (B * k * 8)
+
+
+class TestStepMatchesDense:
+    """The q_margin and a3m loss and gradient, with dC written over P and <p, theta> as
+    row dots, against the formulas through P * Theta and a copy P - Y on the same solve:
+    gradients bitwise, values to 1e-12."""
+
+    @staticmethod
+    def _cosines(rng, B, k):
+        C = rng.uniform(-0.9, 0.9, (B, k))
         ys = rng.integers(k, size=B)
-        # embeddings near their prototypes, as in training
-        E = rng.normal(size=(B, d)) + 2.0 * W[ys]
-        E /= np.linalg.norm(E, axis=1, keepdims=True)
-        C = E @ W.T
-        _, peak = traced_peak(entry, C, ys, _cfg(mode, 32.0), AlphaParams(1.25))
-        assert peak <= bound * B * k * 8, peak / (B * k * 8)
+        # target cosines on the arccos guard band; -1 clips the target at s=32
+        for i, c in enumerate((-1.0, 1.0, 1.0 - 1e-9, -1.0 + 1e-9)[:B]):
+            C[i, ys[i]] = c
+        return C, ys
+
+    @pytest.mark.parametrize("B", [1, 7, 300])
+    @pytest.mark.parametrize("alpha", [1.25, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("mode", ["q_margin", "a3m"])
+    def test_batch_loss_and_cosine_grad(self, monkeypatch, mode, alpha, B):
+        rng = np.random.default_rng([B, int(4 * alpha)])
+        C, ys = self._cosines(rng, B, 40)
+        params, groups = AlphaParams(alpha), []
+        sweep = backend._sweep
+        monkeypatch.setattr(backend, "_sweep", lambda g, *a: groups.append(1) or sweep(g, *a))
+        # every column is a candidate at the second scale: 300 rows make two sweep groups
+        for scale in (32.0, 0.45 / (alpha - 1.0)):
+            cfg = MarginConfig(scale=scale, margin=0.35, mode=mode)
+            groups.clear()
+            values, dC = batch_loss_and_cosine_grad(C, ys, cfg, params)
+            assert len(groups) == (2 if B == 300 and scale < 32.0 else 1)
+            ref_values, ref_dC = loss_and_cosine_grad_dense_reference(C, ys, cfg, params)
+            assert dC.tobytes() == ref_dC.tobytes(), scale
+            np.testing.assert_allclose(values, ref_values, rtol=1e-12, atol=0.0)
+            if scale == 32.0:
+                assert batch_posteriors(C[:1], ys[:1], cfg, params)[0, ys[0]] == 0.0
+
+    @pytest.mark.parametrize("B", [1, 7, 300])
+    @pytest.mark.parametrize("alpha", [1.25, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("mode", ["q_margin", "a3m"])
+    def test_loss_and_grads(self, monkeypatch, mode, alpha, B):
+        ds = generate(SynthSpec(k=40, d=6, samples_per_id=8, noise_kappa=15.0, seed=B))
+        model = trainer.init_model(ds.d, 8, ds.d, ds.k, np.random.default_rng(int(4 * alpha)))
+        cfg, params = MarginConfig(scale=32.0, margin=0.35, mode=mode), AlphaParams(alpha)
+        idx = np.random.default_rng(B).permutation(ds.n)[:B]
+        X, ys = ds.points[idx], ds.labels[idx]
+        loss, grads = trainer.loss_and_grads(model, X, ys, cfg, params)
+        dense = loss_and_cosine_grad_dense_reference
+        monkeypatch.setattr(trainer, "batch_loss_and_cosine_grad", dense)
+        ref_loss, ref_grads = trainer.loss_and_grads(model, X, ys, cfg, params)
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0.0)
+        for name, g in grads.items():
+            assert g.tobytes() == ref_grads[name].tobytes(), name

@@ -23,6 +23,8 @@ from alphamargin.losses import (
 )
 from alphamargin.trainer import TrainConfig
 
+from conftest import cosine_grad_dense_reference
+
 SCALAR_TWIN = {
     "q_margin": lambda c, y, cfg, a: q_margin_loss(c, y, cfg, a),
     "a3m": lambda c, y, cfg, a: a3m_loss(c, y, cfg, a),
@@ -118,7 +120,8 @@ def test_a_validated_config_gives_a_posterior_or_a_typed_error(config, batch):
         _check_posteriors(P, C, ys, cfg)
     out = _output(lambda: batch_loss_and_cosine_grad(C, ys, cfg, params))
     if out is not None:
-        _check_posteriors(out[2], C, ys, cfg)
+        # the same solve as batch_posteriors: its gradient is s * (P - Y) of that P
+        assert P is not None and np.array_equal(out[1], cosine_grad_dense_reference(C, ys, cfg, P))
         assert np.all(np.isfinite(out[0])) and np.all(np.isfinite(out[1]))
     for i in range(len(ys)):
         one = _output(lambda: SCALAR_TWIN[cfg.mode](C[i], int(ys[i]), cfg, params))

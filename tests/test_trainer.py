@@ -81,7 +81,7 @@ class TestBackwardStep:
         ds = small_dataset()
         model = init_model(ds.d, 8, ds.d, ds.k, rng)
         cfg = config()
-        _, grads, _ = loss_and_grads(model, ds.points[:16], ds.labels[:16], cfg.loss, cfg.alpha)
+        _, grads = loss_and_grads(model, ds.points[:16], ds.labels[:16], cfg.loss, cfg.alpha)
         radial = np.sum(grads["prototypes"] * model.prototypes, axis=1)
         np.testing.assert_allclose(radial, 0.0, atol=1e-10)
 
@@ -93,15 +93,15 @@ class TestBackwardStep:
         cfg = config(mode=mode, alpha=alpha)
         params = AlphaParams(cfg.alpha.alpha, bisect_tol=1e-14)
         X, ys = ds.points[:24], ds.labels[:24]
-        _, grads, _ = loss_and_grads(model, X, ys, cfg.loss, params)
+        _, grads = loss_and_grads(model, X, ys, cfg.loss, params)
         h = 1e-6
         for name, coord in [("prototypes", (3, 2)), ("w1", (5, 1)), ("w2", (2, 3)), ("b1", (0,)), ("b2", (1,))]:
             p = getattr(model, name)
             old = p[coord]
             p[coord] = old + h
-            up, _, _ = loss_and_grads(model, X, ys, cfg.loss, params)
+            up, _ = loss_and_grads(model, X, ys, cfg.loss, params)
             p[coord] = old - h
-            down, _, _ = loss_and_grads(model, X, ys, cfg.loss, params)
+            down, _ = loss_and_grads(model, X, ys, cfg.loss, params)
             p[coord] = old
             num = (up - down) / (2 * h)
             assert num == pytest.approx(grads[name][coord], rel=1e-3, abs=1e-7)
@@ -142,7 +142,7 @@ class TestBackwardStep:
         def nan_grad(C, ys, loss_cfg, params):
             dC = np.zeros_like(C)
             dC[0, 1] = np.nan
-            return np.zeros(len(ys)), dC, np.zeros_like(C)
+            return np.zeros(len(ys)), dC
 
         monkeypatch.setattr(trainer, "batch_loss_and_cosine_grad", nan_grad)
         ds = small_dataset()
