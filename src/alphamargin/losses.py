@@ -4,7 +4,9 @@ CosFace/ArcFace cross-entropy baselines.
 All losses are stateless functions of cosine similarities against normalized
 prototypes. Margin annealing is resolved by the caller (the trainer); the
 margin stored in MarginConfig is the effective one. A training step writes
-its gradient over the posteriors it solved, and keeps no copy of them.
+its gradient over the posteriors it solved, and keeps no copy of them. The
+cross-entropy baselines compute their softmax over the logits margin_logits
+built, so a cosface/arcface step holds one (B, k) array besides the cosines.
 """
 
 from dataclasses import dataclass, replace
@@ -113,11 +115,17 @@ def _minus_targets(P, ys):
 
 
 def _ce_rows(Theta, ys):
-    """Cross-entropy values (B,) and softargmax posteriors (B, k) of logit rows."""
-    Z = Theta - Theta.max(axis=1, keepdims=True)
-    E = np.exp(Z)
+    """Cross-entropy values (B,) and softargmax posteriors (B, k) of logit rows.
+
+    Consumes Theta: Z = Theta - row max, exp Z and P = exp Z / S are each
+    written over it, so P is Theta's buffer. Callers pass the fresh logits of
+    margin_logits and do not read them again.
+    """
+    Z = np.subtract(Theta, Theta.max(axis=1, keepdims=True), out=Theta)
+    z_y = Z[np.arange(len(ys)), ys]  # gathered before exp overwrites Z
+    E = np.exp(Z, out=Z)
     S = E.sum(axis=1)
-    return np.log(S) - Z[np.arange(len(ys)), ys], E / S[:, None]
+    return np.log(S) - z_y, np.divide(E, S[:, None], out=E)
 
 
 def _fy_values(Theta, ys, q, P, taus, alpha):

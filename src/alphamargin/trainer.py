@@ -88,8 +88,12 @@ def init_model(d_in, hidden, d_emb, k, rng) -> Model:
 def _forward(model: Model, X):
     """The MLP forward pass: hidden activations, unit embeddings and the norms
     of the embeddings before normalization."""
-    H = np.tanh(X @ model.w1.T + model.b1)
-    E, z_norm = _normalize(H @ model.w2.T + model.b2)
+    H = X @ model.w1.T
+    H += model.b1
+    np.tanh(H, out=H)
+    Z = H @ model.w2.T
+    Z += model.b2
+    E, z_norm = _normalize(Z)
     return H, E, z_norm
 
 

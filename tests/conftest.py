@@ -200,7 +200,8 @@ def sparsity_report_dense_reference(embeddings, labels, prototypes, loss_cfg, pa
 
 # The margin losses' formulas through the full product P * Theta and a copy
 # P - Y of the posteriors, as they were before the step wrote its gradient over
-# P: the oracle of the parity tests in test_losses.py.
+# P, and the softmax of the cross-entropy baselines as it was before it wrote
+# over its logits: the oracles of the parity tests in test_losses.py.
 
 def fy_values_dense_reference(Theta, ys, q_y, P, taus, alpha):
     """Fenchel-Young values (B,) of posteriors P (B, k) at target weights q_y, with
@@ -222,6 +223,16 @@ def cosine_grad_dense_reference(C, ys, cfg, P):
         cy = np.asarray(C, dtype=np.float64)[rows, ys]
         dC[rows, ys] *= losses.arcface_margin_derivative(cy, cfg.margin)
     return dC
+
+
+def ce_rows_dense_reference(Theta, ys):
+    """Cross-entropy values (B,) and softargmax posteriors (B, k) of logit rows, out of
+    place (Theta, Z, exp Z and P are four arrays), as losses._ce_rows was before it
+    wrote them over its logits."""
+    Z = Theta - Theta.max(axis=1, keepdims=True)
+    E = np.exp(Z)
+    S = E.sum(axis=1)
+    return np.log(S) - Z[np.arange(len(ys)), ys], E / S[:, None]
 
 
 def loss_and_cosine_grad_dense_reference(C, ys, cfg, params):

@@ -411,6 +411,18 @@ class TestSparsityReportStreaming:
         block = backend.BLOCK_ROWS * k * 8
         assert peak <= 3.5 * block, peak / block
 
+    @pytest.mark.parametrize("mode", ["cosface", "arcface"])
+    def test_softmax_report_holds_one_array_per_block(self, mode):
+        # the softmax is written over each block's logits: the peak is one
+        # block's cosines and logits and the last block's posterior (3.00
+        # such arrays), where the out-of-place softmax made 6.00
+        n, k = 2000, 10_000
+        E, labels, W = _report_case(n, k=k)
+        cfg = MarginConfig(scale=32.0, margin=0.2, mode=mode)
+        _, peak = traced_peak(sparsity_report, E, labels, W, cfg, AlphaParams(1.25))
+        block = backend.BLOCK_ROWS * k * 8
+        assert peak <= 3.5 * block, peak / block
+
 
 class TestEvalWorkingSet:
     """score_trials and write_det_csv hold O(SCORE_BLOCK) rows of work beyond

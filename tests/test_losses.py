@@ -21,8 +21,10 @@ from alphamargin.losses import (
 from alphamargin.synthdata import SynthSpec, generate
 
 from conftest import (
+    ce_rows_dense_reference,
     central_diff,
     cosface_recovery_draws,
+    cosine_grad_dense_reference,
     cross_entropy_oracle,
     fy_loss_reference,
     loss_and_cosine_grad_dense_reference,
@@ -662,17 +664,22 @@ class TestBatchHelpers:
             ("q_margin", batch_posteriors, 2.25),
             ("a3m", batch_loss_and_cosine_grad, 2.25),
             ("a3m", batch_posteriors, 2.25),
+            ("cosface", batch_loss_and_cosine_grad, 1.25),
+            ("cosface", batch_posteriors, 1.25),
+            ("arcface", batch_loss_and_cosine_grad, 1.25),
+            ("arcface", batch_posteriors, 1.25),
         ],
-        ids=["q_margin-loss", "q_margin-posteriors", "a3m-loss", "a3m-posteriors"],
+        ids=[
+            "q_margin-loss", "q_margin-posteriors", "a3m-loss", "a3m-posteriors",
+            "cosface-loss", "cosface-posteriors", "arcface-loss", "arcface-posteriors",
+        ],
     )
     def test_peak_in_batch_arrays(self, mode, entry, bound):
-        # One (B, k) float64 array is 10.24 MB here. The dense reference
-        # measure that margin_logits used to build, and the five (B, k) passes
-        # of the candidate test, made a peak of 4.3 such arrays in q_margin
-        # mode and 4.1 in a3m mode; the loose bracket's candidates then made
-        # 3.3 in q_margin mode, and P * Theta and the copy P - Y made 3.0 for
-        # the loss. Now each entry holds the logits and P, which the loss
-        # turns into dC in place: 2.01.
+        # One (B, k) float64 array is 10.24 MB here, and the caller's cosines
+        # are not counted. The q_margin and a3m entries hold the logits and P,
+        # which the loss turns into dC in place: 2.01. The cosface and arcface
+        # entries write Theta - max, its exp, P and then dC over the logits:
+        # 1.0, where the out-of-place softmax held four arrays (4.0).
         peak = _step_peak(entry, mode)
         assert peak <= bound, peak
 
@@ -700,6 +707,43 @@ def _step_peak(entry, mode, pull=2.0):
     C = E @ W.T
     _, peak = traced_peak(entry, C, ys, _cfg(mode, 32.0), AlphaParams(1.25))
     return peak / (B * k * 8)
+
+
+class TestCeRowsMatchDense:
+    """The cosface and arcface values, posteriors and gradients, computed over the logits
+    in place, against the out-of-place softmax on the same logits: bitwise, and the
+    caller's cosines untouched."""
+
+    @pytest.mark.parametrize("scale", [32.0, 2000.0], ids=["s32", "underflow"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("k", [2, 200])
+    @pytest.mark.parametrize("B", [1, 7, 300])
+    @pytest.mark.parametrize("mode", ["cosface", "arcface"])
+    def test_bitwise_and_input_safe(self, mode, B, k, order, scale):
+        rng = np.random.default_rng([B, k, int(scale)])
+        C = np.asarray(rng.uniform(-0.9, 0.9, (B, k)), order=order)
+        ys = rng.integers(k, size=B)
+        cfg, params = _cfg(mode, scale), AlphaParams(1.5)
+        before = C.copy()
+
+        Theta, _ = margin_logits(np.array(C, order="C"), ys, cfg)  # on a copy of C
+        ref_values, ref_P = ce_rows_dense_reference(Theta, ys)
+        ref_dC = cosine_grad_dense_reference(C, ys, cfg, ref_P)
+        if scale > 32.0 and k > 2:
+            assert np.any(ref_P == 0.0)  # exp underflows to exact zeros
+
+        values, dC = batch_loss_and_cosine_grad(C, ys, cfg, params)
+        P = batch_posteriors(C, ys, cfg, params)
+        assert values.tobytes() == ref_values.tobytes()
+        assert P.tobytes() == ref_P.tobytes()
+        assert dC.tobytes() == ref_dC.tobytes()
+        out = baseline_ce_loss(C[0], ys[0], cfg)
+        ref_grad = ref_P[0].copy()
+        ref_grad[ys[0]] -= 1.0
+        assert out.value == ref_values[0]
+        assert out.posterior.to_dense().tobytes() == ref_P[0].tobytes()
+        assert out.grad_logits.tobytes() == ref_grad.tobytes()
+        assert C.tobytes() == before.tobytes()
 
 
 class TestStepMatchesDense:

@@ -59,6 +59,17 @@ class TestForwardCosines:
         with pytest.raises(ValueError):
             forward_cosines(np.ones((1, 3)), np.ones((2, 4)))
 
+    def test_embed_matches_the_out_of_place_forward(self, rng):
+        model = init_model(6, 16, 5, 8, rng)
+        model.b1[:] = rng.standard_normal(16)
+        model.b2[:] = rng.standard_normal(5)
+        X = rng.standard_normal((37, 6))
+        H = np.tanh(X @ model.w1.T + model.b1)
+        Z = H @ model.w2.T + model.b2
+        E = Z / np.maximum(np.linalg.norm(Z, axis=-1, keepdims=True), 1e-12)
+        assert embed(model, X).tobytes() == E.tobytes()
+        assert trainer._forward(model, X)[0].tobytes() == H.tobytes()
+
     def test_range(self, rng):
         model = init_model(6, 16, 6, 8, rng)
         C = forward_cosines(embed(model, rng.standard_normal((10, 6))), model.prototypes)
