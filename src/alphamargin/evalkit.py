@@ -17,7 +17,8 @@ to CSV SCORE_BLOCK rows at a time, column by column.
 The sparsity report builds cosines and logits backend.BLOCK_ROWS rows at a
 time and keeps two numbers per row (p_y = 0, nonzeros), for the margin losses
 read off the solver's support a sweep group (<= BLOCK_ROWS * k candidates) at
-a time: O(n + BLOCK_ROWS * k) memory, never an (n, k) matrix.
+a time: O(n + BLOCK_ROWS * k) memory, never an (n, k) matrix. A softmax block
+whose logits cannot underflow is dense, read off its row range with no softmax.
 
 Tie handling: impostor scores equal to the threshold count as accepted
 (>= comparison). Thresholds are observed scores. FAR targets below
@@ -338,10 +339,13 @@ def sparsity_report(embeddings, labels, prototypes, loss_cfg, params) -> Sparsit
     Zeros are exact zeros from the solver's clip; no epsilon pruning. The
     baseline losses' softmax posteriors have no zeros in exact arithmetic, but
     exp underflows to 0.0 at a large scale, so their statistics need not be
-    zero (cosface at s=1000 leaves half of the entries at 0.0). Cosines are
-    built backend.BLOCK_ROWS rows at a time. The margin losses read p_y = 0 and
-    the nonzeros of each row off the support of one posterior_support call; the
-    baselines count their dense softmax posteriors block by block.
+    zero (cosface at s=1000 leaves half of the entries at 0.0). Cosines and
+    logits are built backend.BLOCK_ROWS rows at a time. The margin losses read
+    p_y = 0 and the nonzeros of each row off the support of one
+    posterior_support call. A baseline block whose every logit row spans at
+    least losses.CE_NO_UNDERFLOW (min - max) has no 0.0 in its softmax, so its
+    rows are aligned with k nonzeros and no softmax is run; any other block
+    counts its softmax posterior, written over its logits.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     prototypes = np.asarray(prototypes)
@@ -349,17 +353,20 @@ def sparsity_report(embeddings, labels, prototypes, loss_cfg, params) -> Sparsit
     labels = core._checked_labels(labels, n, k)
     py_zero, nnz = np.ones(n, dtype=bool), np.zeros(n, dtype=np.intp)
     cut = [slice(s, s + backend.BLOCK_ROWS) for s in range(0, n, backend.BLOCK_ROWS)]
+    blocks = (
+        (*losses.margin_logits(embeddings[r] @ prototypes.T, labels[r], loss_cfg), labels[r])
+        for r in cut
+    )
     if loss_cfg.mode in ("cosface", "arcface"):
-        for r in cut:
-            P = losses.batch_posteriors(embeddings[r] @ prototypes.T, labels[r], loss_cfg, params)
-            py_zero[r] = P[np.arange(len(P)), labels[r]] == 0.0
+        for r, (Theta, _, ys) in zip(cut, blocks):
+            if (Theta.min(axis=1) - Theta.max(axis=1)).min() >= losses.CE_NO_UNDERFLOW:
+                py_zero[r], nnz[r] = False, k  # no exp in the block can underflow
+                continue
+            P = losses._ce_rows(Theta, ys)[1]
+            py_zero[r] = P[np.arange(len(P)), ys] == 0.0
             nnz[r] = np.count_nonzero(P, axis=1)
     else:
         losses._refuse_overflow(loss_cfg, params)
-        blocks = (
-            (*losses.margin_logits(embeddings[r] @ prototypes.T, labels[r], loss_cfg), labels[r])
-            for r in cut
-        )
         solve = (params.alpha, params.bisect_tol, params.max_iters)
         for rows, cols, vals, _ in backend.posterior_support(blocks, *solve):
             on = vals != 0.0

@@ -114,6 +114,13 @@ def _minus_targets(P, ys):
     return P
 
 
+# A logit row whose range min - max is at least this has no 0.0 in its softargmax.
+# Its least Z = Theta - max is min - max bit for bit (subtracting a constant is
+# monotone under rounding), so every exp Z >= e * tiny up to exp's few ulps, and
+# 1 <= S <= k(1 + k*eps): every P_j >= tiny / (1.01k) > 2**-1075 for k < 2**50.
+CE_NO_UNDERFLOW = np.log(_TINY) + 1.0
+
+
 def _ce_rows(Theta, ys):
     """Cross-entropy values (B,) and softargmax posteriors (B, k) of logit rows.
 

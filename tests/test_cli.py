@@ -694,16 +694,22 @@ class TestStats:
             assert run(stats + ["--config", str(bad)]) == 1
             assert capsys.readouterr().err == f"usage error: missing [{section}] {key}\n"
 
-    @pytest.mark.parametrize("mode", ["q_margin", "a3m", "cosface"])
-    def test_reproduces_the_last_metrics_row(self, tmp_path, dataset_path, capsys, mode):
+    @pytest.mark.parametrize(
+        "mode, scale",
+        [pytest.param(mode, "16.0", id=mode) for mode in ("q_margin", "a3m", "cosface", "arcface")]
+        + [pytest.param("cosface", "1000", id="cosface-s1000")],
+    )
+    def test_reproduces_the_last_metrics_row(self, tmp_path, dataset_path, capsys, mode, scale):
         # train and stats build the report in two places; on the final
         # checkpoint and the run's config they must agree bit for bit, here
-        # with the margin still on its ramp and the prototypes re-initialized
+        # with the margin still on its ramp and the prototypes re-initialized;
+        # cosface at s=1000 runs the softmax on blocks whose exp can underflow
         out = tmp_path / "run"
         cfg = write_config(
             tmp_path / "t.ini", dataset_path, out,
             {
-                ("loss", "mode"): mode, ("alpha", "alpha"): "1.25", ("train", "epochs"): "3",
+                ("loss", "mode"): mode, ("loss", "scale"): scale,
+                ("alpha", "alpha"): "1.25", ("train", "epochs"): "3",
                 ("loss", "anneal_start"): "1", ("loss", "anneal_end"): "4",
                 ("train", "reinit_epoch"): "2",
             },
@@ -725,6 +731,8 @@ class TestStats:
         assert {key: repr(report[key]) for key in columns} == {
             key: last[column] for key, column in columns.items()
         }
+        if mode in ("cosface", "arcface"):  # zeros only where exp underflowed
+            assert (report["posterior_sparsity"] > 0.0) == (scale == "1000")
 
     def test_json_report(self, tmp_path, dataset_path, capsys):
         out = tmp_path / "run"

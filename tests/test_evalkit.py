@@ -11,7 +11,7 @@ from conftest import (
     traced_peak,
 )
 
-from alphamargin import backend, evalkit
+from alphamargin import backend, evalkit, losses
 from alphamargin.core import AlphaParams
 from alphamargin.errors import UnattainableFARError
 from alphamargin.evalkit import (
@@ -411,17 +411,84 @@ class TestSparsityReportStreaming:
         block = backend.BLOCK_ROWS * k * 8
         assert peak <= 3.5 * block, peak / block
 
+    @pytest.mark.parametrize("scale", [32.0, 1000.0])
     @pytest.mark.parametrize("mode", ["cosface", "arcface"])
-    def test_softmax_report_holds_one_array_per_block(self, mode):
-        # the softmax is written over each block's logits: the peak is one
-        # block's cosines and logits and the last block's posterior (3.00
-        # such arrays), where the out-of-place softmax made 6.00
+    def test_softmax_report_holds_one_array_per_block(self, monkeypatch, mode, scale):
+        # the peak is one block's cosines and logits and the last block's logits
+        # (3.00 such arrays): at s=32 no block runs the softmax, and at s=1000
+        # every block does, written over its logits, where the out-of-place
+        # softmax made 6.00 and a softmax on a copy of the rows that can
+        # underflow would make 4.00
         n, k = 2000, 10_000
         E, labels, W = _report_case(n, k=k)
-        cfg = MarginConfig(scale=32.0, margin=0.2, mode=mode)
+        cfg = MarginConfig(scale=scale, margin=0.2, mode=mode)
+        softmax_rows = _count_softmax_rows(monkeypatch)
         _, peak = traced_peak(sparsity_report, E, labels, W, cfg, AlphaParams(1.25))
         block = backend.BLOCK_ROWS * k * 8
         assert peak <= 3.5 * block, peak / block
+        assert softmax_rows == ([] if scale == 32.0 else [backend.BLOCK_ROWS] * 7 + [208])
+
+
+def _count_softmax_rows(monkeypatch):
+    """The row counts of the losses._ce_rows calls made from here on."""
+    calls = []
+    real = losses._ce_rows
+
+    def counting(Theta, ys):
+        calls.append(len(Theta))
+        return real(Theta, ys)
+
+    monkeypatch.setattr(losses, "_ce_rows", counting)
+    return calls
+
+
+def _repr_dict(report):
+    return {key: repr(v) for key, v in report.to_dict().items()}
+
+
+class TestSoftmaxReportFromTheRowRange:
+    """A cosface/arcface block whose logit rows all span at most -CE_NO_UNDERFLOW
+    has no zero in its softmax: the report counts it dense without running the
+    softmax. Any other block runs it, as the dense report does. The s=32 cases
+    of the dense parity are TestSparsityReportStreaming's."""
+
+    @pytest.mark.parametrize("mode", ["cosface", "arcface"])
+    def test_softmax_runs_only_where_exp_can_underflow(self, monkeypatch, mode):
+        E, labels, W = _report_case(2 * backend.BLOCK_ROWS + 1)
+        softmax_rows = _count_softmax_rows(monkeypatch)
+        for scale, want in ((32.0, []), (1000.0, [backend.BLOCK_ROWS] * 2 + [1])):
+            cfg = MarginConfig(scale=scale, margin=0.3, mode=mode)
+            sparsity_report(E, labels, W, cfg, AlphaParams(1.5))
+            assert softmax_rows == want
+            softmax_rows.clear()
+
+    @pytest.mark.parametrize("n", [1, backend.BLOCK_ROWS - 1, 2 * backend.BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("mode", ["cosface", "arcface"])
+    def test_matches_the_dense_report_where_exp_underflows(self, mode, n):
+        E, labels, W = _report_case(n)
+        cfg = MarginConfig(scale=1000.0, margin=0.3, mode=mode)
+        params = AlphaParams(1.5)
+        got = sparsity_report(E, labels, W, cfg, params)
+        want = sparsity_report_dense_reference(E, labels, W, cfg, params)
+        assert _repr_dict(got) == _repr_dict(want)
+        assert got.posterior_sparsity > 0.0
+
+    @pytest.mark.parametrize("mode", ["cosface", "arcface"])
+    def test_one_wide_row_sends_its_block_alone_to_the_softmax(self, monkeypatch, mode):
+        # row 300 sits on prototype 0, opposite prototype 1: its cosines span 2,
+        # its logits 800 at s=400, and one of its entries underflows; every
+        # other row spans less than 707
+        E, labels, W = _report_case(2 * backend.BLOCK_ROWS + 1)
+        W[1] = -W[0]
+        E[300] = W[0]
+        cfg = MarginConfig(scale=400.0, margin=0.3, mode=mode)
+        params = AlphaParams(1.5)
+        want = sparsity_report_dense_reference(E, labels, W, cfg, params)
+        softmax_rows = _count_softmax_rows(monkeypatch)
+        got = sparsity_report(E, labels, W, cfg, params)
+        assert softmax_rows == [backend.BLOCK_ROWS]
+        assert _repr_dict(got) == _repr_dict(want)
+        assert got.posterior_sparsity == pytest.approx(1 / (len(E) * len(W)))  # one 0.0 entry
 
 
 class TestEvalWorkingSet:

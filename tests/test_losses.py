@@ -746,6 +746,37 @@ class TestCeRowsMatchDense:
         assert C.tobytes() == before.tobytes()
 
 
+class TestCeNoUnderflowBound:
+    """losses.CE_NO_UNDERFLOW: a logit row whose range min - max is at least the
+    bound has no 0.0 in its softargmax, down to the rows one ulp from it."""
+
+    @pytest.mark.parametrize("k", [2, 200, 10_000])
+    def test_rows_one_ulp_either_side(self, k):
+        bound = losses.CE_NO_UNDERFLOW
+        sides = {
+            "at": bound, "inside": np.nextafter(bound, 0.0), "outside": np.nextafter(bound, -np.inf)
+        }
+        for hi in (0.0, 0.5, 64.0, -100.0):
+            for side, span in sides.items():
+                lo = hi + span
+                assert lo - hi == span
+                # one entry at the row's min and k - 1 at its max: the least P_j of any
+                # row of this range, as S is k - 1 + exp(span)
+                Theta = np.full((2, k), hi)
+                Theta[:, 0] = lo
+                settled = Theta.min(axis=1) - Theta.max(axis=1) >= bound
+                assert list(settled) == [side != "outside"] * 2
+                if side != "outside":
+                    _, P = losses._ce_rows(Theta, np.array([0, k - 1]))
+                    assert np.all(P > 0.0), (side, hi, P.min())
+
+    def test_a_row_twice_as_wide_underflows(self):
+        # the bound is not vacuous: exp(2 * bound) is 0.0
+        Theta = np.array([[2.0 * losses.CE_NO_UNDERFLOW, 0.0]])
+        _, P = losses._ce_rows(Theta, np.array([1]))
+        assert P[0, 0] == 0.0
+
+
 class TestStepMatchesDense:
     """The q_margin and a3m loss and gradient, with dC written over P and <p, theta> as
     row dots, against the formulas through P * Theta and a copy P - Y on the same solve:
