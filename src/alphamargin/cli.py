@@ -148,7 +148,10 @@ def cmd_train(args):
     dataset = synthdata.load(parsed["dataset"])
     if dataset.k < 2:
         raise DataFormatError(f"{parsed['dataset']}: {dataset.k} identity; training needs k >= 2")
-    result = trainer.train(dataset, parsed["train"])
+    try:
+        result = trainer.train(dataset, parsed["train"])
+    except ValueError as exc:  # a config this dataset cannot train, such as an overflowing loss
+        raise UsageError(str(exc)) from exc
     # a failed run leaves no out_dir behind
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "config.ini", "w") as fh:

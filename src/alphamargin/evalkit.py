@@ -14,11 +14,14 @@ however many sweeps read it, and FAR(t) and FRR(t) are counted at every
 threshold by binary search. The DET sweep is an (m, 3) float array, written
 to CSV SCORE_BLOCK rows at a time, column by column.
 
-The sparsity report builds cosines and logits backend.BLOCK_ROWS rows at a
-time and keeps two numbers per row (p_y = 0, nonzeros), for the margin losses
-read off the solver's support a sweep group (<= BLOCK_ROWS * k candidates) at
-a time: O(n + BLOCK_ROWS * k) memory, never an (n, k) matrix. A softmax block
-whose logits cannot underflow is dense, read off its row range with no softmax.
+The sparsity report keeps two numbers per row (p_y = 0, nonzeros). For the
+margin losses it builds cosines and logits backend.BLOCK_ROWS rows at a time
+and reads them off the solver's support a sweep group (<= BLOCK_ROWS * k
+candidates) at a time: O(n + BLOCK_ROWS * k) memory, never an (n, k) matrix.
+For the softmax losses it first bounds every logit row from the largest
+embedding and prototype norms: below the bound no exp can underflow, every row
+is dense, and no block is built (O(n + k) memory). Above it, a block whose
+logits cannot underflow is read off its row range with no softmax.
 
 Tie handling: impostor scores equal to the threshold count as accepted
 (>= comparison). Thresholds are observed scores. FAR targets below
@@ -339,17 +342,22 @@ def sparsity_report(embeddings, labels, prototypes, loss_cfg, params) -> Sparsit
     Zeros are exact zeros from the solver's clip; no epsilon pruning. The
     baseline losses' softmax posteriors have no zeros in exact arithmetic, but
     exp underflows to 0.0 at a large scale, so their statistics need not be
-    zero (cosface at s=1000 leaves half of the entries at 0.0). Cosines and
-    logits are built backend.BLOCK_ROWS rows at a time. The margin losses read
+    zero (cosface at s=1000 leaves half of the entries at 0.0). The margin
+    losses build cosines and logits backend.BLOCK_ROWS rows at a time and read
     p_y = 0 and the nonzeros of each row off the support of one
-    posterior_support call. A baseline block whose every logit row spans at
-    least losses.CE_NO_UNDERFLOW (min - max) has no 0.0 in its softmax, so its
-    rows are aligned with k nonzeros and no softmax is run; any other block
-    counts its softmax posterior, written over its logits.
+    posterior_support call. The baselines build nothing when
+    losses.ce_rows_cannot_underflow bounds every logit row from the embedding
+    and prototype norms (unit rows up to s = 321.5 at m = 0.2): every row is
+    then aligned with k nonzeros. Otherwise they build the blocks, and one whose
+    every logit row spans at least losses.CE_NO_UNDERFLOW (min - max) is
+    counted the same way with no softmax; any other block counts its softmax
+    posterior, written over its logits. No embeddings: ValueError.
     """
     embeddings = np.asarray(embeddings, dtype=np.float64)
     prototypes = np.asarray(prototypes)
     n, k = len(embeddings), len(prototypes)
+    if n == 0:
+        raise ValueError("the sparsity report needs at least one embedding")
     labels = core._checked_labels(labels, n, k)
     py_zero, nnz = np.ones(n, dtype=bool), np.zeros(n, dtype=np.intp)
     cut = [slice(s, s + backend.BLOCK_ROWS) for s in range(0, n, backend.BLOCK_ROWS)]
@@ -358,13 +366,17 @@ def sparsity_report(embeddings, labels, prototypes, loss_cfg, params) -> Sparsit
         for r in cut
     )
     if loss_cfg.mode in ("cosface", "arcface"):
-        for r, (Theta, _, ys) in zip(cut, blocks):
-            if (Theta.min(axis=1) - Theta.max(axis=1)).min() >= losses.CE_NO_UNDERFLOW:
-                py_zero[r], nnz[r] = False, k  # no exp in the block can underflow
-                continue
-            P = losses._ce_rows(Theta, ys)[1]
-            py_zero[r] = P[np.arange(len(P)), ys] == 0.0
-            nnz[r] = np.count_nonzero(P, axis=1)
+        if losses.ce_rows_cannot_underflow(embeddings, prototypes, loss_cfg):
+            py_zero[:], nnz[:] = False, k  # the norms bound every row: no block is built
+        else:
+            for r, (Theta, _, ys) in zip(cut, blocks):
+                if (Theta.min(axis=1) - Theta.max(axis=1)).min() >= losses.CE_NO_UNDERFLOW:
+                    py_zero[r], nnz[r] = False, k  # no exp in the block can underflow
+                    continue
+                P = losses._ce_rows(Theta, ys)[1]
+                py_zero[r] = P[np.arange(len(P)), ys] == 0.0
+                nnz[r] = np.count_nonzero(P, axis=1)
+                del P  # a later block that skips the softmax must not keep this one alive
     else:
         losses._refuse_overflow(loss_cfg, params)
         solve = (params.alpha, params.bisect_tol, params.max_iters)

@@ -121,6 +121,45 @@ def _minus_targets(P, ys):
 CE_NO_UNDERFLOW = np.log(_TINY) + 1.0
 
 
+def ce_rows_cannot_underflow(E, W, cfg):
+    """Whether no cosface/arcface logit row of the cosines E @ W.T can hold a
+    0.0 in its softmax, judged from a = max_i |e_i|^2 and b = max_j |w_j|^2
+    alone: O((n + k) d) work and no (n, k) array. False means unknown.
+
+    Proof. Let u = 2**-53 and gamma_d = d*u/(1 - d*u), with d < 2**21.
+    - Any summation order (BLAS blocking, any thread count) gives
+      |fl(e.w)| <= (1 + gamma_d)|e||w|, and a computed squared norm is at
+      least (1 - gamma_d) times the exact one. So with R = sqrt(a*b)(1 + 2**-30)
+      rounded, every computed cosine has |c| <= R, but for underflow:
+    - squares or products below 2**-1022 lose relative accuracy: each sum moves
+      by at most d*2**-1074, and then |c| by less than 1e-4 (a, b <= max double).
+    - An off-target logit fl(s*c) has |theta| <= s*R(1 + u). The cosface target
+      s*(c_y - m) lies in [-s(R + m)(1 + u)**2, s*R(1 + u)**2]; the arcface
+      target s*cos(arccos(clip c_y) + m) in [-s, s].
+    - So a row spans at most s(2 max(1, R) + m)(1 + u)**2, and its computed
+      min - max is one rounding more: the 2**-40 factor covers the three. The
+      underflow term adds less than s*2e-4 < 0.1 at the s <= 354 the test
+      admits, inside the unit of slack of CE_NO_UNDERFLOW's lemma, whose
+      P_j >= tiny / (1.01k) holds for spans down to ln(tiny). No 0.0 entry,
+      no non-finite logit: p_y > 0 and nnz = k on every row.
+    - NaN or inf norms, widths that differ, k < 2 and rows too long for the
+      scale fail the test; the caller then builds the logits, whose checks
+      raise as before. For unit rows it admits s <= 321.5 at m = 0.2, 301.0 at
+      m = 0.35 and 282.9 at m = 0.5.
+    """
+    if not (E.ndim == W.ndim == 2 and E.shape[1] == W.shape[1] < 1 << 21 and len(W) >= 2
+            and np.can_cast(W.dtype, np.float64)):
+        return False
+    W = np.asarray(W, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = (np.einsum("ij,ij->i", X, X).max() for X in (E, W))
+        R = np.sqrt(a * b) * (1.0 + 2.0**-30)
+    if not np.isfinite(R):
+        return False
+    return bool(cfg.scale * (2.0 * max(1.0, R) + cfg.margin) * (1.0 + 2.0**-40)
+                <= -CE_NO_UNDERFLOW)
+
+
 def _ce_rows(Theta, ys):
     """Cross-entropy values (B,) and softargmax posteriors (B, k) of logit rows.
 

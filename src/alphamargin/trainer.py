@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import evalkit, synthdata
+from . import backend, evalkit, synthdata
 from .core import AlphaParams
 from .errors import DataFormatError
 from .losses import MarginConfig, _refuse_overflow, batch_loss_and_cosine_grad
@@ -207,9 +207,41 @@ class TrainResult:
     events: list  # e.g. prototype re-initialization notices
 
 
+def _refuse_loss_overflow(cfg: TrainConfig, n, k):
+    """Refuse a run whose summed loss need not be a double: 2n times a bound on
+    one row's loss must be finite.
+
+    The bound is K + s(2 + m) at the last epoch's margin m, the largest. The
+    Fenchel-Young loss of the q_margin and a3m modes is max_p (<p, theta> -
+    D_f(p:q)) - theta_y + D_f(y:q) <= max theta - theta_y + K, since
+    D_f(p:q) >= 0, with K = D_f(y:q) = q_y f(1/q_y) + (k - 1)/alpha (q_y =
+    exp(-s*m) for q_margin, 1 for a3m). The softmax loss is log sum_j
+    exp(theta_j - theta_y) <= log k + max theta - theta_y: K = log k. Over unit
+    rows max theta <= s and theta_y >= -s(1 + m) in every mode. The factor 2
+    covers the rounding of the batch sums and of the epoch sum.
+    """
+    loss = cfg.loss.with_margin(annealed_margin(cfg.loss, cfg.epochs))
+    a = cfg.alpha.alpha
+    with np.errstate(over="ignore"):
+        if loss.mode in ("q_margin", "a3m"):
+            q_y = np.exp(-loss.scale * loss.margin) if loss.mode == "q_margin" else 1.0
+            K = (backend.f_prime_inv(np.log(q_y), a) - (1.0 - q_y) + (k - 1)) / a
+        else:
+            K = np.log(k)
+        if np.isfinite(2.0 * n * (K + loss.scale * (2.0 + loss.margin))):
+            return
+    raise ValueError(
+        f"the summed loss of {n} samples can overflow: each row's loss holds the constant "
+        f"K = {K:.4g} at scale {loss.scale!r}, margin {loss.margin!r} and alpha {a!r}; "
+        "lower the scale or the margin"
+    )
+
+
 def train(dataset, cfg: TrainConfig) -> TrainResult:
     """Epoch loop honoring the lr schedule, margin annealing and the optional
-    prototype re-initialization; deterministic under cfg.seed."""
+    prototype re-initialization; deterministic under cfg.seed. A run whose
+    summed loss can overflow is refused before the first step (ValueError)."""
+    _refuse_loss_overflow(cfg, dataset.n, dataset.k)
     rng = np.random.default_rng(cfg.seed)
     d_emb = cfg.embed_dim if cfg.embed_dim is not None else dataset.d
     model = init_model(dataset.d, cfg.hidden_dim, d_emb, dataset.k, rng)

@@ -179,6 +179,38 @@ class TestTrain:
         rows = (out / "metrics.csv").read_text().splitlines()[1:]
         assert [row.split(",")[1] for row in rows] == ["8.810264766124128e+233"] * 2
 
+    @staticmethod
+    def _alpha3_run(tmp_path, samples, scale):
+        data = tmp_path / f"k10x{samples}.bin"
+        gen = ["gen", "--k", "10", "--d", "8", "--samples-per-id", str(samples),
+               "--noise-kappa", "20", "--seed", "1", "--out", str(data)]
+        assert run(gen) == 0
+        overrides = {("alpha", "alpha"): "3", ("loss", "scale"): scale, ("loss", "margin"): "0.9"}
+        out = tmp_path / "o"
+        return write_config(tmp_path / "t.ini", data, out, overrides), out
+
+    @pytest.mark.parametrize("samples, scale", [(6, "394.3"), (60, "393")])
+    def test_loss_sum_that_overflows_is_usage_error(self, tmp_path, capsys, samples, scale):
+        # (alpha-1)*s*m = 709.7 and 707.4, inside the constant's bound, but with
+        # K ~ 1e307 the batch mean (on 60 samples) or the epoch sum (on 600) is not
+        # a double: the first exited 3 as a divergence, the second wrote loss = inf
+        cfg, out = self._alpha3_run(tmp_path, samples, scale)
+        assert run(["train", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"usage error: the summed loss of {10 * samples} samples can overflow: "
+            "each row's loss holds the constant K = "
+        ), err
+        assert f"at scale {float(scale)!r}, margin 0.9 and alpha 3.0" in err
+        assert not out.exists()
+
+    def test_loss_sum_that_fits_still_trains(self, tmp_path):
+        # 600 * K ~ 3e236: the run and its loss column are as before the refusal
+        cfg, out = self._alpha3_run(tmp_path, 60, "300")
+        assert run(["train", str(cfg)]) == 0
+        rows = (out / "metrics.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["5.506415478827583e+233"] * 2
+
     def test_unknown_section_rejected(self, tmp_path, dataset_path):
         cfg = write_config(
             tmp_path / "t.ini", dataset_path, tmp_path / "o",

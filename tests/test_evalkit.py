@@ -328,20 +328,16 @@ class TestSparsityReportStreaming:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_small_blocks(self, monkeypatch, mode):
-        # 7-row blocks over 295 rows: 42 full blocks and a 1-row tail
+        # 7-row blocks over 295 rows: 42 full blocks and a 1-row tail. The
+        # softmax modes build blocks only above the norm bound's scale
+        # (TestSoftmaxReportFromTheNorms), so they run at s=400
         E, labels, W = _report_case(295, seed=1)
-        cfg = MarginConfig(scale=32.0, margin=0.3, mode=mode)
+        scale = 32.0 if mode in ("q_margin", "a3m") else 400.0
+        cfg = MarginConfig(scale=scale, margin=0.3, mode=mode)
         params = AlphaParams(1.25)
         want = sparsity_report_dense_reference(E, labels, W, cfg, params)
-        calls = []
-        real = evalkit.losses.margin_logits
-
-        def counting(C, *args):
-            calls.append(len(C))
-            return real(C, *args)
-
+        calls = _count_logit_rows(monkeypatch)
         monkeypatch.setattr(backend, "BLOCK_ROWS", 7)
-        monkeypatch.setattr(evalkit.losses, "margin_logits", counting)
         got = sparsity_report(E, labels, W, cfg, params)
         assert calls == [7] * 42 + [1]
         assert repr(got.to_dict()) == repr(want.to_dict())
@@ -414,11 +410,11 @@ class TestSparsityReportStreaming:
     @pytest.mark.parametrize("scale", [32.0, 1000.0])
     @pytest.mark.parametrize("mode", ["cosface", "arcface"])
     def test_softmax_report_holds_one_array_per_block(self, monkeypatch, mode, scale):
-        # the peak is one block's cosines and logits and the last block's logits
-        # (3.00 such arrays): at s=32 no block runs the softmax, and at s=1000
-        # every block does, written over its logits, where the out-of-place
-        # softmax made 6.00 and a softmax on a copy of the rows that can
-        # underflow would make 4.00
+        # at s=32 no block is built (TestSoftmaxReportFromTheNorms). At s=1000
+        # the peak is one block's cosines and logits and the last block's
+        # logits (3.00 such arrays): every block runs the softmax, written over
+        # its logits, where the out-of-place softmax made 6.00 and a softmax on
+        # a copy of the rows that can underflow would make 4.00
         n, k = 2000, 10_000
         E, labels, W = _report_case(n, k=k)
         cfg = MarginConfig(scale=scale, margin=0.2, mode=mode)
@@ -427,6 +423,19 @@ class TestSparsityReportStreaming:
         block = backend.BLOCK_ROWS * k * 8
         assert peak <= 3.5 * block, peak / block
         assert softmax_rows == ([] if scale == 32.0 else [backend.BLOCK_ROWS] * 7 + [208])
+
+
+def _count_logit_rows(monkeypatch):
+    """The row counts of the losses.margin_logits calls made from here on."""
+    calls = []
+    real = losses.margin_logits
+
+    def counting(C, *args):
+        calls.append(len(C))
+        return real(C, *args)
+
+    monkeypatch.setattr(losses, "margin_logits", counting)
+    return calls
 
 
 def _count_softmax_rows(monkeypatch):
@@ -489,6 +498,110 @@ class TestSoftmaxReportFromTheRowRange:
         assert softmax_rows == [backend.BLOCK_ROWS]
         assert _repr_dict(got) == _repr_dict(want)
         assert got.posterior_sparsity == pytest.approx(1 / (len(E) * len(W)))  # one 0.0 entry
+
+
+def _largest_admitted_scale(E, W, cfg):
+    """The largest double scale at which losses.ce_rows_cannot_underflow holds."""
+    def holds(s):
+        return losses.ce_rows_cannot_underflow(E, W, MarginConfig(s, cfg.margin, cfg.mode))
+
+    lo, hi = 1.0, 1000.0  # holds at lo, not at hi: bisect to adjacent doubles
+    while np.nextafter(lo, np.inf) < hi:
+        mid = lo + (hi - lo) / 2
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+    return lo
+
+
+class TestSoftmaxReportFromTheNorms:
+    """Below s(2 max(1, R) + m) <= -CE_NO_UNDERFLOW, R from the largest
+    embedding and prototype norms, no cosface/arcface logit row can hold a 0.0
+    in its softmax: the report builds no block. Above it, the blocks are built
+    as before; either way the report is the dense one."""
+
+    @pytest.mark.parametrize("mode", ["cosface", "arcface"])
+    def test_builds_no_block_below_the_bound(self, monkeypatch, mode):
+        E, labels, W = _report_case(2 * backend.BLOCK_ROWS + 1)
+        cfg = MarginConfig(scale=32.0, margin=0.3, mode=mode)
+        params = AlphaParams(1.5)
+        want = sparsity_report_dense_reference(E, labels, W, cfg, params)
+        calls = _count_logit_rows(monkeypatch)
+        got = sparsity_report(E, labels, W, cfg, params)
+        assert calls == []
+        assert repr(got.to_dict()) == repr(want.to_dict())
+
+    @pytest.mark.parametrize("mode", ["cosface", "arcface"])
+    def test_the_largest_admitted_scale_and_the_next_double(self, monkeypatch, mode):
+        E, labels, W = _report_case(2 * backend.BLOCK_ROWS + 1)
+        s = _largest_admitted_scale(E, W, MarginConfig(32.0, 0.2, mode))
+        assert 321.5 < s < 321.6  # unit rows at m = 0.2
+        params = AlphaParams(1.5)
+        calls = _count_logit_rows(monkeypatch)  # the dense reference's calls too
+        blocks = [backend.BLOCK_ROWS] * 2 + [1]
+        for scale, want_calls in ((s, []), (np.nextafter(s, np.inf), blocks)):
+            cfg = MarginConfig(scale=float(scale), margin=0.2, mode=mode)
+            want = sparsity_report_dense_reference(E, labels, W, cfg, params)
+            calls.clear()
+            got = sparsity_report(E, labels, W, cfg, params)
+            assert calls == want_calls
+            assert repr(got.to_dict()) == repr(want.to_dict())
+            assert got.posterior_sparsity == 0.0
+
+    @pytest.mark.parametrize("mode", ["cosface", "arcface"])
+    def test_rows_longer_than_unit_build_the_blocks(self, monkeypatch, mode):
+        # |e| = 2: R = 2 and s(2R + m) = 860 at s=200, where unit rows would pass
+        E, labels, W = _report_case(2 * backend.BLOCK_ROWS + 1)
+        E *= 2.0
+        cfg = MarginConfig(scale=200.0, margin=0.3, mode=mode)
+        params = AlphaParams(1.5)
+        want = sparsity_report_dense_reference(E, labels, W, cfg, params)
+        calls = _count_logit_rows(monkeypatch)
+        got = sparsity_report(E, labels, W, cfg, params)
+        assert calls == [backend.BLOCK_ROWS] * 2 + [1]
+        assert repr(got.to_dict()) == repr(want.to_dict())
+
+    @pytest.mark.parametrize("mode", ["cosface", "arcface"])
+    def test_bad_inputs_fail_as_before(self, mode):
+        E, labels, W = _report_case(300)
+        cfg = MarginConfig(scale=32.0, margin=0.3, mode=mode)
+        params = AlphaParams(1.5)
+        E_nan = E.copy()
+        E_nan[260] = np.nan
+        for args in ((E_nan, labels, W), (E, labels, W[:, :12])):
+            got = _outcome(sparsity_report, *args, cfg, params)
+            assert got[0] is ValueError
+            assert got == _outcome(sparsity_report_dense_reference, *args, cfg, params)
+
+    @pytest.mark.parametrize("mode", ["cosface", "arcface"])
+    def test_blocking_does_not_change_the_report(self, monkeypatch, mode):
+        E, labels, W = _report_case(295, seed=1)
+        cfg = MarginConfig(scale=32.0, margin=0.3, mode=mode)
+        params = AlphaParams(1.25)
+        reports = []
+        for rows in (1, 7, 256):
+            monkeypatch.setattr(backend, "BLOCK_ROWS", rows)
+            reports.append(repr(sparsity_report(E, labels, W, cfg, params).to_dict()))
+        assert reports == [reports[0]] * 3
+
+    @pytest.mark.parametrize("scale", [32.0, 400.0, 1000.0])
+    @pytest.mark.parametrize("mode", ["cosface", "arcface"])
+    def test_memory(self, mode, scale):
+        # below the bound the report holds O(n + k) numbers; above it, one block's
+        # cosines and logits and the last block's logits. At s=400 some blocks
+        # run the softmax and some do not; keeping the last softmax block made 4.00
+        n, k = 2000, 10_000
+        E, labels, W = _report_case(n, k=k)
+        cfg = MarginConfig(scale=scale, margin=0.2, mode=mode)
+        _, peak = traced_peak(sparsity_report, E, labels, W, cfg, AlphaParams(1.25))
+        block = backend.BLOCK_ROWS * k * 8
+        assert peak < (0.1 if scale == 32.0 else 3.05) * block, peak / block
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_sparsity_report_of_no_rows_is_refused(mode):
+    _, _, W = _report_case(1)
+    cfg = MarginConfig(scale=32.0, margin=0.3, mode=mode)
+    with pytest.raises(ValueError, match="^the sparsity report needs at least one embedding$"):
+        sparsity_report(np.empty((0, W.shape[1])), np.empty(0, np.int64), W, cfg, AlphaParams(1.5))
 
 
 class TestEvalWorkingSet:
